@@ -26,6 +26,7 @@ from .locpoly import (
     Sample,
     enumerate_multi_indices,
     fit_local_polynomial,
+    window_fits,
 )
 from .projection import Box, brute_force_projection, project_to_polynomial
 from .partition import (

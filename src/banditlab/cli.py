@@ -433,7 +433,7 @@ def _cmd_levels(cfg: dict) -> int:
     sacb = next((p for p in cfg["policies"] if p["kind"] == "sacb"), None)
     if sacb is None:
         sacb = {"kind": "sacb", **SACB_DEFAULTS}
-    d = 1
+    d = make_instance(cfg["instance"], cfg["T"]).d
     lv = sacb_levels(cfg["T"], d, sacb["q"], sacb["beta_lo"], sacb["beta_hi"],
                      sacb["upsilon"])
     print(f"T={cfg['T']} d={d} q={sacb['q']} "

@@ -19,7 +19,8 @@ import numpy as np
 from .abse import AbseConfig, AbsePolicy, lifetime, max_depth
 from .policies import FixedArmPolicy, OraclePolicy
 from .sacb import SacbPolicy, round_samples, test_threshold
-from .locpoly import fit_local_polynomial
+# Not called here; perfbench's tracer still wraps this name.
+from .locpoly import fit_local_polynomial  # noqa: F401
 
 
 def _fill_alternation(actions: np.ndarray, idx: np.ndarray) -> None:
@@ -91,46 +92,6 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return actions
 
 
-def _window_means(xs: np.ndarray, ys: np.ndarray, mesh: np.ndarray,
-                  h: float) -> np.ndarray:
-    """Degree-0 box-kernel fits at mesh points; empty windows give 0."""
-    order = np.argsort(xs, kind="stable")
-    xs_s = xs[order]
-    pref = np.concatenate([[0.0], np.cumsum(ys[order])])
-    lo = np.searchsorted(xs_s, mesh - h, side="left")
-    hi = np.searchsorted(xs_s, mesh + h, side="right")
-    cnt = hi - lo
-    sums = pref[hi] - pref[lo]
-    return np.where(cnt > 0, sums / np.maximum(cnt, 1), 0.0)
-
-
-def _sacb_round_sup(policy: SacbPolicy, bin_id, Xs, Ys, parity) -> float:
-    """Sup over arms and mesh points of |coarse fit - fine fit|."""
-    cfg = policy.config
-    h1 = cfg.q ** (-policy.levels.j1)
-    h2 = cfg.q ** (-policy.levels.j2)
-    mesh = policy.mesh[bin_id]
-    sup = 0.0
-    for arm in (0, 1):
-        sel = parity == arm
-        if not np.any(sel):
-            continue
-        if policy.d == 1 and policy.degree == 0:
-            xs = Xs[sel, 0]
-            ys = Ys[sel, arm]
-            v1 = _window_means(xs, ys, mesh[:, 0], h1)
-            v2 = _window_means(xs, ys, mesh[:, 0], h2)
-            sup = max(sup, float(np.max(np.abs(v1 - v2))))
-        else:
-            data = (Xs[sel], Ys[sel, arm])
-            for x_pt in mesh:
-                c = x_pt if policy.d > 1 else x_pt[0]
-                v1 = fit_local_polynomial(data, c, h1, policy.degree).value
-                v2 = fit_local_polynomial(data, c, h2, policy.degree).value
-                sup = max(sup, abs(v1 - v2))
-    return sup
-
-
 def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Action sequence of SACB on a pre-drawn stream.
 
@@ -170,9 +131,10 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
             if cum[r] > len(idx):
                 break
             sl = idx[cum[r - 1]:cum[r]]
-            parity = np.arange(len(sl)) % 2
+            # Within a round the arms alternate, arm 1 first.
+            arms = [(X[sl[arm::2]], Y[sl[arm::2], arm]) for arm in (0, 1)]
             thr = test_threshold(cfg.gamma, policy.T, d, cfg.beta_lo, cfg.q, r)
-            if _sacb_round_sup(policy, bin_id, X[sl], Y[sl], parity) > thr:
+            if policy.round_statistic(bin_id, arms) > thr:
                 fire_r = r
                 break
         if fire_r is not None:

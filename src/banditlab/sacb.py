@@ -27,7 +27,7 @@ import numpy as np
 
 from .abse import AbseConfig, AbsePolicy
 from .errors import StateDesyncError
-from .locpoly import fit_local_polynomial, floor_strict
+from .locpoly import floor_strict, window_fits
 from .partition import build_partition, locate_bin, log_base, mesh_points, sacb_levels
 
 
@@ -77,7 +77,7 @@ def test_threshold(gamma: float, T: int, d: int, beta_lo: float, q: float,
 
 
 class _BinState:
-    __slots__ = ("r", "counts", "buffers", "fired", "r_last", "history")
+    __slots__ = ("r", "counts", "buffers", "fired", "r_last")
 
     def __init__(self):
         self.r = 1
@@ -85,7 +85,6 @@ class _BinState:
         self.buffers = ([], [])      # current round, one (x, y) list per arm
         self.fired = False
         self.r_last = None
-        self.history = []            # completed rounds, kept for diagnostics
 
 
 class SacbPolicy:
@@ -139,7 +138,6 @@ class SacbPolicy:
             if not st.fired and self.hypothesis_test(bin_id):
                 st.r_last = st.r
                 st.fired = True
-            st.history.append((st.r, st.buffers))
             st.r += 1
             st.counts = [0, 0]
             st.buffers = ([], [])
@@ -155,20 +153,27 @@ class SacbPolicy:
         cfg = self.config
         st = self.state[bin_id]
         thr = test_threshold(cfg.gamma, self.T, self.d, cfg.beta_lo, cfg.q, st.r)
-        h1 = cfg.q ** (-self.levels.j1)
-        h2 = cfg.q ** (-self.levels.j2)
+        arms = [(np.stack([rec[0] for rec in buf]), np.array([rec[1] for rec in buf]))
+                for buf in st.buffers if buf]
+        return self.round_statistic(bin_id, arms) > thr
+
+    def round_statistic(self, bin_id, arms) -> float:
+        """Sup over arms and mesh points of |coarse fit - fine fit|.
+
+        arms holds one (X, y) pair per arm with samples this round.
+        """
+        h1 = self.config.q ** (-self.levels.j1)
+        h2 = self.config.q ** (-self.levels.j2)
+        mesh = self.mesh[bin_id]
+        n = len(mesh)
+        # Coarse and fine fits in one call: the mesh twice, one bandwidth each.
+        centers = np.concatenate([mesh, mesh])
+        h = np.repeat([h1, h2], n)
         sup = 0.0
-        for buf in st.buffers:
-            if not buf:
-                continue
-            X = np.stack([rec[0] for rec in buf])
-            y = np.array([rec[1] for rec in buf])
-            for x_pt in self.mesh[bin_id]:
-                c = x_pt if self.d > 1 else x_pt[0]
-                v1 = fit_local_polynomial((X, y), c, h1, self.degree).value
-                v2 = fit_local_polynomial((X, y), c, h2, self.degree).value
-                sup = max(sup, abs(v1 - v2))
-        return sup > thr
+        for X, y in arms:
+            v = window_fits(X, y, centers, h, self.degree)
+            sup = max(sup, float(np.max(np.abs(v[:n] - v[n:]))))
+        return sup
 
     def estimate_smoothness(self) -> float:
         """Raw estimate from the recorded rounds (clamping happens at handoff)."""

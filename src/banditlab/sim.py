@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,7 +174,8 @@ def run_experiment(instance_spec, policy_specs, T: int, reps: int,
     regardless of parallelism.
 
     instance_spec is either a ProblemInstance or a dict understood by
-    `instances.make_instance` (required for process-based parallelism).
+    `instances.make_instance` (required for process-based parallelism; a
+    ProblemInstance with parallelism > 1 runs serially with a RuntimeWarning).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -184,11 +186,16 @@ def run_experiment(instance_spec, policy_specs, T: int, reps: int,
         (instance_spec, T, ps, rep, base_seed, checkpoint_stride)
         for ps in specs for rep in range(reps)
     ]
-    can_fork = isinstance(instance_spec, dict)
-    if parallelism > 1 and can_fork:
+    if parallelism > 1 and isinstance(instance_spec, dict):
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as ex:
             results = list(ex.map(_episode_cell, cells, chunksize=1))
     else:
+        if parallelism > 1:
+            warnings.warn(
+                f"run_experiment(parallelism={parallelism}) got a ProblemInstance, "
+                "which worker processes cannot rebuild; running serially (pass "
+                "an instance spec dict to run in parallel)",
+                RuntimeWarning, stacklevel=2)
         results = [_episode_cell(c) for c in cells]
 
     out = {}

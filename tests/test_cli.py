@@ -172,6 +172,17 @@ class TestSweepAndPlot:
         out = capsys.readouterr().out
         assert "l=7" in out and "r_bar=24" in out and "j2=78" in out
 
+    def test_levels_subcommand_takes_d_from_instance(self, tmp_path, capsys):
+        p = small_config(tmp_path, T=2_000_000, policies=[{"kind": "sacb"}],
+                         instance={"kind": "lower_bound", "beta": 0.5,
+                                   "gamma": 0.9, "alpha": 1.0, "delta": 0.25,
+                                   "member": 1, "d": 2})
+        assert main(["levels", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "d=2" in out
+        assert "l=14" in out and "r_bar=38" in out and "j2=85" in out
+        assert "l_tilde=106" in out and "bins_per_axis=4" in out
+
     def test_verify_subcommand(self, tmp_path):
         p = small_config(tmp_path, T=100_000,
                          instance={"kind": "power", "beta": 0.6, "delta": 1.0})

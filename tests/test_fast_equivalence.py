@@ -49,6 +49,22 @@ CASES = [
      PolicySpec("oracle", {}), 10_000),
     ({"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}},
      PolicySpec("fixed", {"arm": 2}), 10_000),
+    # The sacb-degree1 benchmark shape: beta_hi = 1.5 gives degree-1 fits.
+    ({"kind": "power", "beta": 0.6, "delta": 1.0},
+     PolicySpec("sacb", {"gamma": 0.42, "q": 1.5, "upsilon": 2.5,
+                         "beta_lo": 0.6, "beta_hi": 1.5,
+                         "gamma_abse": 2.0}), 50_000),
+    # d = 2, degree 1 (Bernoulli rewards); q = 3 keeps the mesh at 81^2
+    # points per bin so both engines finish in seconds.
+    ({"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,
+      "delta": 0.25, "member": 1, "d": 2},
+     PolicySpec("sacb", {"gamma": 0.3, "q": 3.0, "upsilon": 2.5,
+                         "beta_lo": 0.9, "beta_hi": 1.5}), 10_000),
+    # Bernoulli noise, handoff tuned for the remaining horizon.
+    ({"kind": "power", "beta": 0.6, "delta": 1.0, "noise": ["bernoulli"]},
+     PolicySpec("sacb", {"gamma": 0.42, "q": 1.5, "upsilon": 2.5,
+                         "beta_lo": 0.6, "beta_hi": 0.9,
+                         "handoff_horizon": "remaining"}), 50_000),
 ]
 
 
@@ -64,6 +80,7 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed):
     a_seq = sequential_actions(seq_pol, X, Y)
     assert np.array_equal(a_fast, a_seq)
     if pspec.kind == "sacb":
+        assert fast_pol.t_sacb is not None
         assert fast_pol.t_sacb == seq_pol.t_sacb
         assert fast_pol.beta_hat == pytest.approx(seq_pol.beta_hat)
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from banditlab.locpoly import (
     PolynomialEstimate,
     enumerate_multi_indices,
     fit_local_polynomial,
     floor_strict,
+    window_fits,
 )
 
 
@@ -144,3 +146,110 @@ class TestEstimateObject:
         est = PolynomialEstimate({}, (0.0,), 1.0, 1, True)
         assert est.value == 0.0
         assert est(0.9) == 0.0
+
+
+# window_fits against a loop over fit_local_polynomial.  The window and the
+# degenerate gate must agree exactly; values agree up to rounding.  The gate
+# admits a Q with condition number up to 1 / SINGULARITY_TOL = 1e10, so a
+# difference of one rounding error (~1e-16) in the moments, which the
+# batched path sums in another order (and in d = 1 from prefix sums
+# recentered binomially), can move a fit by up to about 1e-6 of its scale.
+# Over many random inputs the largest deviation seen is below 1e-6 of
+# max(|value|, max |y|), in windows holding just enough points for their
+# degree.
+WINDOW_RTOL = 1e-5
+
+
+def assert_matches_oracle(X, y, centers, h, degree):
+    got = window_fits(X, y, centers, h, degree)
+    hs = np.broadcast_to(h, (len(centers),))
+    ests = [fit_local_polynomial((X, y), c, hc, degree) for c, hc in zip(centers, hs)]
+    degenerate = np.array([e.degenerate for e in ests], dtype=bool)
+    want = np.array([e.value for e in ests])
+    # y is bounded away from 0 so that only a degenerate window reads 0.
+    assert not np.any(want[~degenerate] == 0.0)
+    assert np.array_equal(got == 0.0, degenerate)
+    scale = np.maximum(np.abs(want), np.max(np.abs(y), initial=1.0))
+    assert np.all(np.abs(got - want) <= WINDOW_RTOL * scale), \
+        np.max(np.abs(got - want) / scale)
+    return degenerate
+
+
+class TestWindowFits:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_matches_oracle_fixed_seed(self, d, degree):
+        gen = np.random.Generator(np.random.Philox(key=31 + 3 * d + degree))
+        seen_window_sizes = set()
+        n_degenerate = 0
+        for trial in range(60):
+            n = int(gen.integers(0, 30))
+            X = gen.random((n, d))
+            if trial % 4 == 0 and n:
+                X[:, 0] = X[0, 0]            # rank-deficient: one axis constant
+            y = 1.0 + gen.random(n)
+            centers = gen.random((40, d))
+            widths = [0.01, 0.03, 0.1, 0.3, 1.0]
+            # Every other trial gives each center its own bandwidth.
+            h = float(gen.choice(widths)) if trial % 2 else gen.choice(widths, 40)
+            deg = assert_matches_oracle(X, y, centers, h, degree)
+            n_degenerate += int(deg.sum())
+            inside = np.max(np.abs(X[None, :, :] - centers[:, None, :]), axis=2) \
+                <= np.reshape(h, (-1, 1))
+            seen_window_sizes.update(inside.sum(axis=1).tolist())
+        assert {0, 1, 2} <= seen_window_sizes
+        assert n_degenerate > 0
+
+    def test_degree_zero_is_window_mean(self):
+        X = np.array([0.1, 0.2, 0.25, 0.9])
+        y = np.array([1.0, 2.0, 4.0, 8.0])
+        got = window_fits(X, y, np.array([0.2, 0.6, 1.0]), 0.1, 0)
+        assert got == pytest.approx([7.0 / 3.0, 0.0, 8.0], rel=1e-15)
+
+    def test_window_edges_follow_rounded_difference(self):
+        # 0.3 - 0.1 rounds to just below 0.2 while 0.1 + 0.2 rounds above 0.3:
+        # the window is whatever |x - c| <= h selects after rounding.
+        X = np.array([0.3, 0.30000000000000004, -0.1, 0.5])
+        y = np.array([1.0, 2.0, 4.0, 8.0])
+        for c in (0.1, 0.3, 0.5):
+            assert_matches_oracle(X, y, np.array([[c]]), 0.2, 0)
+
+    def test_empty_sample(self):
+        out = window_fits(np.empty((0, 2)), np.empty(0), np.zeros((3, 2)), 0.5, 1)
+        assert np.array_equal(out, np.zeros(3))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            window_fits(np.ones(2), np.ones(2), np.ones(1), 0.0, 0)
+        with pytest.raises(ValueError):
+            window_fits(np.ones(2), np.ones(2), np.ones(2), [1.0, -1.0], 0)
+        with pytest.raises(ValueError):
+            window_fits(np.ones(2), np.ones(2), np.ones(1), 1.0, -1)
+        with pytest.raises(ValueError):
+            window_fits(np.ones((2, 2)), np.ones(2), np.ones((1, 3)), 1.0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        degree=st.sampled_from([0, 1, 2]),
+        grid=st.sampled_from([4, 16, 64]),
+        data=st.data(),
+    )
+    def test_matches_oracle_property(self, d, degree, grid, data):
+        # Coordinates on a 1/grid lattice make repeated coordinates,
+        # collinear and rank-deficient windows and points exactly on a
+        # window edge common; centers are free floats or lattice points.
+        n = data.draw(st.integers(0, 12), label="n")
+        cells = data.draw(st.lists(st.integers(0, grid), min_size=n * d,
+                                   max_size=n * d), label="cells")
+        X = np.array(cells, dtype=float).reshape(n, d) / grid
+        y = np.array(data.draw(st.lists(st.floats(1.0, 2.0), min_size=n,
+                                        max_size=n), label="y"))
+        unit = st.one_of(st.floats(0.0, 1.0),
+                         st.integers(0, grid).map(lambda k: k / grid))
+        centers = np.array(data.draw(st.lists(unit, min_size=d, max_size=4 * d)
+                                     .filter(lambda v: len(v) % d == 0),
+                                     label="centers")).reshape(-1, d)
+        h = data.draw(st.sampled_from([0.5 / grid, 1.0 / grid, 2.0 / grid, 0.3]),
+                      label="h")
+        assert_matches_oracle(X, y, centers, h, degree)

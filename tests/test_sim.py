@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,20 @@ class TestExperiment:
                                 parallelism=1)
         par = run_experiment(spec, policies, 15_000, reps=4, base_seed=12,
                              parallelism=4)
+        for k in serial:
+            assert serial[k].mean_regret == par[k].mean_regret
+
+    def test_instance_object_with_parallelism_warns_and_runs_serially(self):
+        inst = make_instance({"kind": "setting1", "beta": 0.9,
+                              "overrides": {"M": 8.0}}, 15_000)
+        policies = [PolicySpec("abse", {"beta": 0.5})]
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            par = run_experiment(inst, policies, 15_000, reps=2, base_seed=12,
+                                 parallelism=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            serial = run_experiment(inst, policies, 15_000, reps=2,
+                                    base_seed=12, parallelism=1)
         for k in serial:
             assert serial[k].mean_regret == par[k].mean_regret
 
