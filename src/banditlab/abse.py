@@ -33,13 +33,16 @@ from .errors import OutOfDomainError, StateDesyncError
 
 @dataclass(frozen=True)
 class AbseConfig:
-    """Tuning for one ABSE run; beta is the assumed smoothness."""
+    """Tuning for one ABSE run; beta is the assumed smoothness.
+
+    c0, gamma_abse and noise_scale default to the published table.
+    """
 
     beta: float
-    c0: float
     T: int
     d: int = 1
-    gamma_abse: float = 1.0
+    c0: float = 2.0
+    gamma_abse: float = 2.0
     noise_scale: float = 0.5
 
     def __post_init__(self):
@@ -64,11 +67,11 @@ def lifetime(cfg: AbseConfig, depth: int) -> int:
     return math.ceil(cfg.c0 ** -2 * side ** (-2 * cfg.beta) * log_term)
 
 
-def radius(cfg: AbseConfig, depth: int, s: int) -> float:
-    """Elimination radius after s pulls of each arm."""
+def radius(cfg: AbseConfig, depth: int, s):
+    """Elimination radius after s pulls of each arm (s may be an array)."""
     side = 2.0 ** (-depth)
     log_term = math.log(cfg.T * side ** -(2 * cfg.beta + cfg.d))
-    return cfg.gamma_abse * 4.0 * cfg.noise_scale * math.sqrt(log_term / s)
+    return cfg.gamma_abse * 4.0 * cfg.noise_scale * np.sqrt(log_term / s)
 
 
 class _Bin:

@@ -7,8 +7,9 @@ verify  grade the configured instance's declared properties
 levels  print the SACB level arithmetic for the configured policy
 plot    regenerate plot/table CSVs and SVG charts from results.csv
 
-The config file is JSON; `parse_config` fills defaults (Table-reproduction
-values for setting1/setting2 policies) and normalizes it to a canonical
+The config file is JSON; `parse_config` fills each sacb/abse policy's
+tuning from the SacbConfig/AbseConfig defaults (the published table),
+checks it by building that config, and normalizes the file to a canonical
 form whose SHA-256 prefix stamps every output file.  Exit codes: 0 ok,
 2 config error, 3 runtime failure (with a manifest of completed cells).
 """
@@ -21,29 +22,33 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .abse import AbseConfig
 from .errors import BanditLabError, ValidationError
 from .instances import (check_holder, check_margin, check_self_similarity,
                         make_instance)
 from .partition import sacb_levels
 from .policies import PolicySpec
+from .sacb import SacbConfig
 from .sim import dedup_labels, run_experiment
 
 RESULTS_HEADER = ("config_hash,instance,beta,tilde_beta,policy,T,reps,"
                   "mean_regret,sd,ci95,mean_t_sacb,mean_beta_hat,relative_loss")
 PLOT_HEADER = "x,mean,ci_lo,ci_hi"
 
-# Experiment-reproduction defaults (the published parameter table).
-SACB_DEFAULTS = {"gamma": 0.145, "q": 1.1, "upsilon": 0.325,
-                 "beta_lo": 0.4, "beta_hi": 1.0, "gamma_abse": 2.0,
-                 "c0": 2.0, "handoff_horizon": "full"}
-ABSE_DEFAULTS = {"c0": 2.0, "gamma_abse": 2.0}
 INSTANCE_KINDS = ("setting1", "setting2", "power", "lower_bound", "example1")
 POLICY_KINDS = ("sacb", "abse", "oracle", "fixed")
+
+
+def tuning_defaults(config_cls) -> dict:
+    """A config class's published defaults, less the fields each run sets."""
+    return {f.name: f.default for f in fields(config_cls)
+            if f.name not in ("beta", "T", "d", "noise_scale")}
 
 
 def fmt(x) -> str:
@@ -82,6 +87,12 @@ def parse_config(path_or_dict) -> dict:
         problems.append("instance.beta is required")
     cfg["instance"] = inst
 
+    sweep = dict(raw.get("sweep") or {})
+    for key in sweep:
+        if key not in ("tilde_beta", "T", "beta"):
+            problems.append(f"sweep key {key!r} not supported (tilde_beta, T, beta)")
+    cfg["sweep"] = {k: list(v) for k, v in sweep.items()}
+
     policies = raw.get("policies") or []
     if not policies:
         problems.append("at least one policy is required")
@@ -92,22 +103,22 @@ def parse_config(path_or_dict) -> dict:
         if pkind not in POLICY_KINDS:
             problems.append(f"policies[{i}].kind must be one of {POLICY_KINDS}")
             continue
-        if pkind == "sacb":
-            merged = {**SACB_DEFAULTS, **{k: v for k, v in pol.items() if k != "kind"}}
-            if merged["q"] <= 1:
-                problems.append(f"policies[{i}].q: base must exceed 1")
-            if not (0 < merged["beta_lo"] <= merged["beta_hi"]):
-                problems.append(f"policies[{i}]: need 0 < beta_lo <= beta_hi")
-            if merged["gamma"] <= 0:
-                problems.append(f"policies[{i}].gamma must be positive")
-            if merged["handoff_horizon"] not in ("full", "remaining"):
-                problems.append(f"policies[{i}].handoff_horizon must be full|remaining")
-            pol = {"kind": "sacb", **merged}
-        elif pkind == "abse":
-            merged = {**ABSE_DEFAULTS, **{k: v for k, v in pol.items() if k != "kind"}}
-            if "beta" in merged and not (0 < merged["beta"] <= 1):
-                problems.append(f"policies[{i}].beta must be in (0, 1]")
-            pol = {"kind": "abse", **merged}
+        if pkind in ("sacb", "abse"):
+            pol = {**tuning_defaults(SacbConfig if pkind == "sacb" else AbseConfig),
+                   **pol}
+            tuning = {k: v for k, v in pol.items() if k != "kind"}
+            # Build the config as a run would; T = 2 and d = 1 stand in for
+            # the run's own values.
+            try:
+                if pkind == "sacb":
+                    SacbConfig(**tuning)
+                elif "beta" in tuning:
+                    AbseConfig(T=2, d=1, **tuning)
+                else:
+                    for tb in cfg["sweep"].get("tilde_beta", []):
+                        AbseConfig(T=2, d=1, beta=tb, **tuning)
+            except (TypeError, ValueError) as e:
+                problems.append(f"policies[{i}]: {e}")
         elif pkind == "fixed":
             if pol.get("arm", 1) not in (1, 2):
                 problems.append(f"policies[{i}].arm must be 1 or 2")
@@ -125,12 +136,6 @@ def parse_config(path_or_dict) -> dict:
     cfg["traces"] = bool(raw.get("traces", False))
     cfg["checkpoint_stride"] = raw.get("checkpoint_stride")
     cfg["output_dir"] = str(raw.get("output_dir", "out"))
-
-    sweep = dict(raw.get("sweep") or {})
-    for key in sweep:
-        if key not in ("tilde_beta", "T", "beta"):
-            problems.append(f"sweep key {key!r} not supported (tilde_beta, T, beta)")
-    cfg["sweep"] = {k: list(v) for k, v in sweep.items()}
 
     needs_tilde = any(p["kind"] == "abse" and "beta" not in p for p in norm_policies)
     if needs_tilde and "tilde_beta" not in cfg["sweep"]:
@@ -430,9 +435,8 @@ def _cmd_verify(cfg: dict) -> int:
 
 
 def _cmd_levels(cfg: dict) -> int:
-    sacb = next((p for p in cfg["policies"] if p["kind"] == "sacb"), None)
-    if sacb is None:
-        sacb = {"kind": "sacb", **SACB_DEFAULTS}
+    sacb = next((p for p in cfg["policies"] if p["kind"] == "sacb"),
+                tuning_defaults(SacbConfig))
     d = make_instance(cfg["instance"], cfg["T"]).d
     lv = sacb_levels(cfg["T"], d, sacb["q"], sacb["beta_lo"], sacb["beta_hi"],
                      sacb["upsilon"])

@@ -12,11 +12,9 @@ same action sequence as the sequential policies in `abse.py` / `sacb.py`
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .abse import AbseConfig, AbsePolicy, lifetime, max_depth
+from .abse import AbseConfig, AbsePolicy, lifetime, max_depth, radius
 from .policies import FixedArmPolicy, OraclePolicy
 from .sacb import SacbPolicy, round_samples, test_threshold
 # Not called here; perfbench's tracer still wraps this name.
@@ -53,10 +51,7 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             y2 = Y[idx[1:2 * s_max:2], 1]
             s_arr = np.arange(1, s_max + 1, dtype=np.float64)
             diff = (np.cumsum(y1) - np.cumsum(y2)) / s_arr
-            side_log = math.log(cfg.T * (2.0 ** (-depth)) ** -(2 * cfg.beta + d))
-            eps = (cfg.gamma_abse * 4.0 * cfg.noise_scale
-                   * np.sqrt(side_log / s_arr))
-            fire = np.abs(diff) > eps
+            fire = np.abs(diff) > radius(cfg, depth, s_arr)
             hit = int(np.argmax(fire)) if fire.any() else -1
         else:
             hit = -1
@@ -95,9 +90,10 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Action sequence of SACB on a pre-drawn stream.
 
-    Sets t_sacb / beta_hat / beta_hat_raw on the policy object for trace
-    reporting.  When some bin never completes its rounds the estimation
-    phase runs to the end of the stream and no handoff happens.
+    Writes each bin's r_last into policy.state and hands off through
+    `SacbPolicy.handoff_config`, as the sequential policy does.  When some
+    bin never completes its rounds the estimation phase runs to the end of
+    the stream and no handoff happens.
     """
     cfg = policy.config
     n = len(X)
@@ -121,7 +117,6 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 
     bin_ids = list(part.bin_ids())
     exit_times = []
-    r_lasts = []
     bin_arrivals = {}
     for flat, bin_id in enumerate(bin_ids):
         idx = order[starts[flat]:ends[flat]]
@@ -138,13 +133,11 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
                 fire_r = r
                 break
         if fire_r is not None:
-            r_lasts.append(fire_r)
+            policy.state[bin_id].r_last = fire_r
             exit_times.append(int(idx[cum[fire_r] - 1]))
         elif cum[r_bar] <= len(idx):
-            r_lasts.append(r_bar)
             exit_times.append(int(idx[cum[r_bar] - 1]))
         else:
-            r_lasts.append(None)
             exit_times.append(None)
 
     starved = any(t is None for t in exit_times)
@@ -165,29 +158,8 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
         actions[est] = 1 + (local % 2).astype(np.int8)
 
     if starved:
-        policy.t_sacb = None
-        policy.beta_hat = None
         return actions
-
-    policy.t_sacb = t_sacb_pos + 1
-    from .partition import log_base
-    raw = (min(r_lasts) - cfg.upsilon * log_base(cfg.q, math.log(policy.T))) \
-        / (2.0 * policy.levels.l)
-    policy.beta_hat_raw = raw
-    policy.beta_hat = min(max(cfg.beta_lo, raw), cfg.beta_hi)
-
-    horizon = policy.T if cfg.handoff_horizon == "full" \
-        else policy.T - policy.t_sacb
-    horizon = max(2, horizon)
-    p = dict(cfg.abse_params)
-    handoff_cfg = AbseConfig(
-        beta=min(1.0, policy.beta_hat),
-        c0=float(p.get("c0", 2.0)),
-        gamma_abse=float(p.get("gamma_abse", 1.0)),
-        T=horizon,
-        d=d,
-        noise_scale=float(p.get("noise_scale", 0.5)),
-    )
+    handoff_cfg = policy.handoff_config(t_sacb_pos + 1)
     rest = slice(t_sacb_pos + 1, n)
     actions[rest] = abse_actions(handoff_cfg, X[rest], Y[rest])
     return actions
@@ -204,7 +176,5 @@ def run_fast(policy, X: np.ndarray, Y: np.ndarray):
     if isinstance(policy, AbsePolicy):
         return abse_actions(policy.config, X, Y)
     if isinstance(policy, SacbPolicy):
-        if policy.config.input_policy_factory is not None:
-            return None
         return sacb_actions(policy, X, Y)
     return None

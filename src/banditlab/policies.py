@@ -54,10 +54,10 @@ class OraclePolicy:
 class PolicySpec:
     """Declarative policy description used by the runner and the CLI.
 
-    kind: "abse" | "sacb" | "oracle" | "fixed".  params are kind-specific;
-    abse accepts {beta, c0, gamma_abse, noise_scale}, sacb accepts
-    {gamma, q, upsilon, beta_lo, beta_hi, c0, gamma_abse, noise_scale,
-    handoff_horizon}, fixed accepts {arm}.
+    kind: "abse" | "sacb" | "oracle" | "fixed".  params are kind-specific:
+    abse and sacb take the fields of AbseConfig (less T and d) and
+    SacbConfig, whose defaults fill in every tuning value params leave out;
+    fixed accepts {arm}.
     """
 
     kind: str
@@ -71,7 +71,10 @@ class PolicySpec:
         return self.kind
 
     def build(self, instance, T: int):
-        """Construct a live policy for one episode."""
+        """Construct a live policy for one episode.
+
+        Under Gaussian noise the instance's sigma is the default noise_scale.
+        """
         from .abse import AbseConfig, AbsePolicy
         from .sacb import SacbConfig, SacbPolicy
 
@@ -80,34 +83,10 @@ class PolicySpec:
             return FixedArmPolicy(int(p.get("arm", 1)))
         if self.kind == "oracle":
             return OraclePolicy(instance)
-        noise_scale = p.get("noise_scale")
-        if noise_scale is None:
-            noise_scale = (instance.noise[1]
-                           if instance.noise[0] == "gaussian" else 0.5)
+        if instance.noise[0] == "gaussian":
+            p.setdefault("noise_scale", instance.noise[1])
         if self.kind == "abse":
-            cfg = AbseConfig(
-                beta=float(p["beta"]),
-                c0=float(p.get("c0", 2.0)),
-                gamma_abse=float(p.get("gamma_abse", 1.0)),
-                T=int(T),
-                d=instance.d,
-                noise_scale=float(noise_scale),
-            )
-            return AbsePolicy(cfg)
+            return AbsePolicy(AbseConfig(T=int(T), d=instance.d, **p))
         if self.kind == "sacb":
-            abse_params = {
-                "c0": float(p.get("c0", 2.0)),
-                "gamma_abse": float(p.get("gamma_abse", 1.0)),
-                "noise_scale": float(noise_scale),
-            }
-            cfg = SacbConfig(
-                beta_lo=float(p.get("beta_lo", 0.4)),
-                beta_hi=float(p.get("beta_hi", 1.0)),
-                gamma=float(p.get("gamma", 0.145)),
-                q=float(p.get("q", 1.1)),
-                upsilon=float(p.get("upsilon", 0.325)),
-                handoff_horizon=p.get("handoff_horizon", "full"),
-                abse_params=abse_params,
-            )
-            return SacbPolicy(cfg, T=int(T), d=instance.d)
+            return SacbPolicy(SacbConfig(**p), T=int(T), d=instance.d)
         raise ValueError(f"unknown policy kind {self.kind!r}")

@@ -14,14 +14,14 @@ estimate
 
     beta_hat = (min_B r_last - upsilon log_q ln T) / (2 l)
 
-is clamped to [beta_lo, beta_hi] and the run is handed to the input
-policy built for that smoothness (ABSE(min(1, beta_hat)) by default).
+is clamped to [beta_lo, beta_hi] and the rest of the run is handed to
+ABSE tuned for min(1, beta_hat) (`SacbPolicy.handoff_config`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,10 @@ from .partition import build_partition, locate_bin, log_base, mesh_points, sacb_
 class SacbConfig:
     """Tuning for the adaptive policy.
 
-    input_policy_factory, when given, maps the clamped smoothness estimate
-    to the handoff policy; it must accept (beta0, T, d).  The default
-    builds ABSE(min(1, beta0)) from abse_params.  handoff_horizon chooses
-    the horizon the input policy is tuned for: "full" passes T (the
-    default), "remaining" passes T - T_sacb.
+    The defaults are the published table.  c0, gamma_abse and noise_scale
+    tune the ABSE policy that takes over after estimation, with AbseConfig's
+    defaults; handoff_horizon chooses the horizon it is tuned for: "full"
+    passes T, "remaining" passes T - T_sacb.
     """
 
     beta_lo: float = 0.4
@@ -48,8 +47,9 @@ class SacbConfig:
     q: float = 1.1
     upsilon: float = 0.325
     handoff_horizon: str = "full"
-    abse_params: dict = field(default_factory=dict)
-    input_policy_factory: object = None
+    c0: float = AbseConfig.c0
+    gamma_abse: float = AbseConfig.gamma_abse
+    noise_scale: float = AbseConfig.noise_scale
 
     def __post_init__(self):
         if not (0 < self.beta_lo <= self.beta_hi):
@@ -58,11 +58,14 @@ class SacbConfig:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.q <= 1:
-            raise ValueError(f"q must exceed 1, got {self.q}")
+            raise ValueError(f"q: base must exceed 1, got {self.q}")
         if self.upsilon < 0:
             raise ValueError(f"upsilon must be >= 0, got {self.upsilon}")
         if self.handoff_horizon not in ("full", "remaining"):
             raise ValueError(f"bad handoff_horizon {self.handoff_horizon!r}")
+        # ABSE's own checks of the handoff tuning, now rather than at handoff.
+        AbseConfig(beta=1.0, T=2, c0=self.c0, gamma_abse=self.gamma_abse,
+                   noise_scale=self.noise_scale)
 
 
 def round_samples(q: float, r: int) -> int:
@@ -124,7 +127,8 @@ class SacbPolicy:
             self.handoff.update(x, arm, y)
             self.t += 1
             return
-        st = self.state[locate_bin(self.partition, x)]
+        bin_id = locate_bin(self.partition, x)
+        st = self.state[bin_id]
         expected = 2 if st.counts[0] > st.counts[1] else 1
         if arm != expected:
             raise StateDesyncError(f"alternation expected arm {expected}, got {arm}")
@@ -134,7 +138,6 @@ class SacbPolicy:
 
         need = 2 * round_samples(self.config.q, st.r)
         if st.counts[0] + st.counts[1] >= need and st.r <= self.levels.r_bar:
-            bin_id = locate_bin(self.partition, x)
             if not st.fired and self.hypothesis_test(bin_id):
                 st.r_last = st.r
                 st.fired = True
@@ -143,8 +146,7 @@ class SacbPolicy:
             st.buffers = ([], [])
 
         if all(s.fired or s.r > self.levels.r_bar for s in self.state.values()):
-            self.t_sacb = self.t
-            self._hand_off()
+            self.handoff = AbsePolicy(self.handoff_config(self.t))
 
     # -- estimation subroutine -------------------------------------------------
 
@@ -184,21 +186,17 @@ class SacbPolicy:
         return (min(r_vals) - cfg.upsilon * log_base(cfg.q, math.log(self.T))) \
             / (2.0 * self.levels.l)
 
-    def _hand_off(self) -> None:
+    def handoff_config(self, t_sacb: int) -> AbseConfig:
+        """End the estimation phase after t_sacb steps.
+
+        Records t_sacb, beta_hat_raw and the clamped beta_hat; returns the
+        config of the ABSE policy that plays the rest of the run.
+        """
         cfg = self.config
+        self.t_sacb = t_sacb
         self.beta_hat_raw = self.estimate_smoothness()
         self.beta_hat = min(max(cfg.beta_lo, self.beta_hat_raw), cfg.beta_hi)
-        horizon = self.T if cfg.handoff_horizon == "full" else self.T - self.t_sacb
-        horizon = max(2, horizon)
-        if cfg.input_policy_factory is not None:
-            self.handoff = cfg.input_policy_factory(self.beta_hat, horizon, self.d)
-        else:
-            p = dict(cfg.abse_params)
-            self.handoff = AbsePolicy(AbseConfig(
-                beta=min(1.0, self.beta_hat),
-                c0=float(p.get("c0", 2.0)),
-                gamma_abse=float(p.get("gamma_abse", 1.0)),
-                T=horizon,
-                d=self.d,
-                noise_scale=float(p.get("noise_scale", 0.5)),
-            ))
+        horizon = self.T if cfg.handoff_horizon == "full" else self.T - t_sacb
+        return AbseConfig(beta=min(1.0, self.beta_hat), T=max(2, horizon),
+                          d=self.d, c0=cfg.c0, gamma_abse=cfg.gamma_abse,
+                          noise_scale=cfg.noise_scale)

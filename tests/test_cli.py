@@ -9,9 +9,13 @@ from banditlab.cli import (
     emit_plot_data,
     main,
     parse_config,
+    _cell_policies,
+    _cells,
     _read_results,
 )
 from banditlab.errors import ValidationError
+from banditlab.instances import make_instance
+from banditlab.policies import PolicySpec
 
 
 MINIMAL = {
@@ -55,6 +59,17 @@ class TestParse:
         bad = dict(MINIMAL, policies=[{"kind": "abse"}])
         with pytest.raises(ValidationError):
             parse_config(bad)
+
+    def test_library_and_cli_build_the_same_configs(self):
+        T = 20_000
+        inst = make_instance({"kind": "setting1", "beta": 0.9,
+                              "overrides": {"M": 8.0}}, T)
+        cfg = parse_config(dict(MINIMAL, T=T, policies=[
+            {"kind": "sacb"}, {"kind": "abse", "beta": 0.5}]))
+        cli_specs, _ = _cell_policies(cfg, next(_cells(cfg)))
+        lib_specs = [PolicySpec("sacb", {}), PolicySpec("abse", {"beta": 0.5})]
+        for lib, cli in zip(lib_specs, cli_specs, strict=True):
+            assert lib.build(inst, T).config == cli.build(inst, T).config
 
 
 def small_config(tmp_path, **over):
@@ -124,6 +139,23 @@ class TestRun:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+    # Each of these used to pass parsing: the first then ran with gamma
+    # 0.145, the other two failed mid-run (exit 3, partial results.csv).
+    @pytest.mark.parametrize("over,match", [
+        ({"policies": [{"kind": "sacb", "gama": 9.0}]}, "gama"),
+        ({"policies": [{"kind": "abse"}], "sweep": {"tilde_beta": [0.5, 1.2]}},
+         r"beta must be in \(0, 1\]"),
+        ({"policies": [{"kind": "abse", "beta": 0.9, "c0": -1}]}, "c0"),
+    ], ids=["unknown-key", "tilde-beta-range", "negative-c0"])
+    def test_policy_config_error_exits_2_before_writing(self, tmp_path, over,
+                                                        match):
+        p = small_config(tmp_path, **over)
+        with pytest.raises(ValidationError, match=match):
+            parse_config(p)
+        assert main(["run", "--config", str(p)]) == 2
+        out = Path(json.loads(p.read_text())["output_dir"])
+        assert not (out / "results.csv").exists()
 
     def test_runtime_failure_exit_code_and_manifest(self, tmp_path):
         # valid config whose instance construction degenerates at runtime:

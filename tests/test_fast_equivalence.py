@@ -70,10 +70,18 @@ CASES = [
 
 @pytest.mark.parametrize("inst_spec,pspec,T", CASES)
 @pytest.mark.parametrize("seed", [3, 17])
-def test_engine_matches_sequential(inst_spec, pspec, T, seed):
+def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
     instance = make_instance(inst_spec, T)
     X, Y = streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
+    abse_configs = []
+    abse_actions = fast.abse_actions
+
+    def recording_abse_actions(cfg, X, Y):
+        abse_configs.append(cfg)
+        return abse_actions(cfg, X, Y)
+
+    monkeypatch.setattr(fast, "abse_actions", recording_abse_actions)
     a_fast = fast.run_fast(fast_pol, X, Y)
     assert a_fast is not None
     seq_pol = pspec.build(instance, T)
@@ -82,7 +90,9 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed):
     if pspec.kind == "sacb":
         assert fast_pol.t_sacb is not None
         assert fast_pol.t_sacb == seq_pol.t_sacb
-        assert fast_pol.beta_hat == pytest.approx(seq_pol.beta_hat)
+        assert fast_pol.beta_hat_raw == seq_pol.beta_hat_raw
+        assert fast_pol.beta_hat == seq_pol.beta_hat
+        assert abse_configs == [seq_pol.handoff.config]
 
 
 def test_sacb_starved_stream_never_hands_off():

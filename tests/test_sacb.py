@@ -193,7 +193,7 @@ class TestStatistical:
         # acceptance suite.
         inst = make_power_payoff(0.6, 1.0)
         cfg = SacbConfig(beta_lo=0.6, beta_hi=1.0, gamma=0.55, q=1.5,
-                         upsilon=2.7, abse_params={"noise_scale": 0.05})
+                         upsilon=2.7, noise_scale=0.05)
         ceiling = None
         fired_below = 0
         for seed in range(5):
