@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError, StateDesyncError
+from .partition import cell_coords
 
 
 @dataclass(frozen=True)
@@ -60,29 +61,37 @@ def max_depth(cfg: AbseConfig) -> int:
         math.log2(cfg.T / math.log(cfg.T)) / (2 * cfg.beta + cfg.d)))
 
 
+def _log_term(cfg: AbseConfig, depth: int) -> float:
+    """ln(T |B|^-(2 beta + d)) for a bin of side |B| = 2^-depth."""
+    side = 2.0 ** (-depth)
+    return math.log(cfg.T * side ** -(2 * cfg.beta + cfg.d))
+
+
 def lifetime(cfg: AbseConfig, depth: int) -> int:
     """Pairs of pulls a bin at this depth collects before splitting."""
     side = 2.0 ** (-depth)
-    log_term = math.log(cfg.T * side ** -(2 * cfg.beta + cfg.d))
-    return math.ceil(cfg.c0 ** -2 * side ** (-2 * cfg.beta) * log_term)
+    return math.ceil(cfg.c0 ** -2 * side ** (-2 * cfg.beta) * _log_term(cfg, depth))
 
 
 def radius(cfg: AbseConfig, depth: int, s):
     """Elimination radius after s pulls of each arm (s may be an array)."""
-    side = 2.0 ** (-depth)
-    log_term = math.log(cfg.T * side ** -(2 * cfg.beta + cfg.d))
-    return cfg.gamma_abse * 4.0 * cfg.noise_scale * np.sqrt(log_term / s)
+    return cfg.gamma_abse * 4.0 * cfg.noise_scale * np.sqrt(_log_term(cfg, depth) / s)
+
+
+def next_arm(counts) -> int:
+    """Arm that keeps two arms alternating: arm 1 unless it is ahead."""
+    return 1 if counts[0] <= counts[1] else 2
 
 
 class _Bin:
-    __slots__ = ("depth", "coords", "committed", "counts", "means", "life")
+    __slots__ = ("depth", "coords", "committed", "counts", "sums", "life")
 
     def __init__(self, depth, coords, life):
         self.depth = depth
         self.coords = coords
         self.committed = 0          # 0 while live, else the committed arm
         self.counts = [0, 0]
-        self.means = [0.0, 0.0]
+        self.sums = [0.0, 0.0]      # reward totals; the gap is their difference / s
         self.life = life
 
 
@@ -101,16 +110,15 @@ class AbsePolicy:
 
     # -- bin lookup --------------------------------------------------------
 
-    def _coords_at(self, x, depth):
-        n = 1 << depth
-        return tuple(min(n - 1, int(math.floor(xi * n))) for xi in x)
-
     def _find(self, x) -> _Bin:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.config.d,) or np.any(x < 0) or np.any(x > 1):
             raise OutOfDomainError(f"covariate {x} outside [0,1]^d")
+        # The cell at depth k0 gives the cell at every shallower depth by a
+        # shift: floor(x 2^k) = floor(x 2^k0) >> (k0 - k).
+        deepest = cell_coords(x, 1 << self.k0).tolist()
         for depth in range(self.k0 + 1):
-            key = (depth, self._coords_at(x, depth))
+            key = (depth, tuple(c >> (self.k0 - depth) for c in deepest))
             if key in self.bins:
                 return self.bins[key]
         raise StateDesyncError(f"no live or committed bin contains {x}")
@@ -119,9 +127,7 @@ class AbsePolicy:
 
     def choose(self, x) -> int:
         b = self._find(x)
-        if b.committed:
-            return b.committed
-        return 1 if b.counts[0] <= b.counts[1] else 2
+        return b.committed or next_arm(b.counts)
 
     def update(self, x, arm: int, y: float) -> None:
         b = self._find(x)
@@ -130,20 +136,20 @@ class AbsePolicy:
                 raise StateDesyncError(
                     f"bin committed to arm {b.committed} but arm {arm} played")
             return
-        expected = 1 if b.counts[0] <= b.counts[1] else 2
+        expected = next_arm(b.counts)
         if arm != expected:
             raise StateDesyncError(
                 f"round robin expected arm {expected}, got {arm}")
         i = arm - 1
         b.counts[i] += 1
-        b.means[i] += (y - b.means[i]) / b.counts[i]
+        b.sums[i] += y
 
         s = b.counts[0]
         if b.counts[0] != b.counts[1]:
             return
         # A pair just completed: elimination test, then lifetime actions.
         eps = radius(self.config, b.depth, s)
-        gap = b.means[0] - b.means[1]
+        gap = (b.sums[0] - b.sums[1]) / s
         if abs(gap) > eps:
             self._commit(b, 1 if gap > 0 else 2)
             return
@@ -151,7 +157,7 @@ class AbsePolicy:
             if b.depth < self.k0:
                 self._split(b)
             else:
-                self._commit(b, 1 if b.means[0] >= b.means[1] else 2)
+                self._commit(b, 1 if gap >= 0 else 2)
 
     # -- tree transitions ---------------------------------------------------
 

@@ -32,7 +32,7 @@ from .abse import AbseConfig
 from .errors import BanditLabError, ValidationError
 from .instances import (check_holder, check_margin, check_self_similarity,
                         make_instance)
-from .partition import sacb_levels
+from .partition import cells_per_axis, sacb_levels
 from .policies import PolicySpec
 from .sacb import SacbConfig
 from .sim import dedup_labels, run_experiment
@@ -49,6 +49,18 @@ def tuning_defaults(config_cls) -> dict:
     """A config class's published defaults, less the fields each run sets."""
     return {f.name: f.default for f in fields(config_cls)
             if f.name not in ("beta", "T", "d", "noise_scale")}
+
+
+def _integer(value, name: str, problems: list, low: int | None = None):
+    """value as an int (at least low), or None after recording a problem."""
+    try:
+        if float(value).is_integer() and (low is None or int(value) >= low):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if low is None else f" >= {low}"
+    problems.append(f"{name} must be an integer{bound}, got {value!r}")
+    return None
 
 
 def fmt(x) -> str:
@@ -93,6 +105,12 @@ def parse_config(path_or_dict) -> dict:
             problems.append(f"sweep key {key!r} not supported (tilde_beta, T, beta)")
     cfg["sweep"] = {k: list(v) for k, v in sweep.items()}
 
+    cfg["T"] = _integer(raw.get("T", 0), "T", problems, low=1)
+    # Every horizon a run uses, as _cells takes them.
+    horizons = [_integer(t, "sweep.T", problems, low=1)
+                for t in cfg["sweep"].get("T", [])]
+    horizons = [t for t in horizons or [cfg["T"]] if t is not None]
+
     policies = raw.get("policies") or []
     if not policies:
         problems.append("at least one policy is required")
@@ -107,17 +125,19 @@ def parse_config(path_or_dict) -> dict:
             pol = {**tuning_defaults(SacbConfig if pkind == "sacb" else AbseConfig),
                    **pol}
             tuning = {k: v for k, v in pol.items() if k != "kind"}
-            # Build the config as a run would; T = 2 and d = 1 stand in for
-            # the run's own values.
+            # Build the config at every horizon, as a run would.  No check
+            # of either constructor depends on d, so d = 1 stands in for it.
             try:
                 if pkind == "sacb":
-                    SacbConfig(**tuning)
-                elif "beta" in tuning:
-                    AbseConfig(T=2, d=1, **tuning)
+                    sc = SacbConfig(**tuning)
+                    for T in horizons:
+                        sacb_levels(T, 1, sc.q, sc.beta_lo, sc.beta_hi, sc.upsilon)
                 else:
-                    for tb in cfg["sweep"].get("tilde_beta", []):
-                        AbseConfig(T=2, d=1, beta=tb, **tuning)
-            except (TypeError, ValueError) as e:
+                    betas = ([tuning.pop("beta")] if "beta" in tuning
+                             else cfg["sweep"].get("tilde_beta", []))
+                    for T, beta in itertools.product(horizons, betas):
+                        AbseConfig(beta=beta, T=T, d=1, **tuning)
+            except (TypeError, ValueError, BanditLabError) as e:
                 problems.append(f"policies[{i}]: {e}")
         elif pkind == "fixed":
             if pol.get("arm", 1) not in (1, 2):
@@ -125,14 +145,9 @@ def parse_config(path_or_dict) -> dict:
         norm_policies.append(pol)
     cfg["policies"] = norm_policies
 
-    cfg["T"] = int(raw.get("T", 0))
-    if cfg["T"] < 1:
-        problems.append("T must be a positive integer")
-    cfg["reps"] = int(raw.get("reps", 1))
-    if cfg["reps"] < 1:
-        problems.append("reps must be >= 1")
-    cfg["base_seed"] = int(raw.get("base_seed", 20240601))
-    cfg["threads"] = int(raw.get("threads", 1))
+    cfg["reps"] = _integer(raw.get("reps", 1), "reps", problems, low=1)
+    cfg["base_seed"] = _integer(raw.get("base_seed", 20240601), "base_seed", problems)
+    cfg["threads"] = _integer(raw.get("threads", 1), "threads", problems)
     cfg["traces"] = bool(raw.get("traces", False))
     cfg["checkpoint_stride"] = raw.get("checkpoint_stride")
     cfg["output_dir"] = str(raw.get("output_dir", "out"))
@@ -443,7 +458,7 @@ def _cmd_levels(cfg: dict) -> int:
     print(f"T={cfg['T']} d={d} q={sacb['q']} "
           f"beta=[{sacb['beta_lo']},{sacb['beta_hi']}] upsilon={sacb['upsilon']}")
     print(f"l={lv.l} r_bar={lv.r_bar} j1={lv.j1} j2={lv.j2} l_tilde={lv.l_tilde}")
-    print(f"bins_per_axis={max(1, round(sacb['q'] ** lv.l))}")
+    print(f"bins_per_axis={cells_per_axis(sacb['q'], lv.l)}")
     return 0
 
 

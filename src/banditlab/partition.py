@@ -44,16 +44,28 @@ class Partition:
         return Box(lo, hi)
 
 
+def cells_per_axis(q: float, l: float) -> int:
+    """Cells per axis of a level-l base-q grid: q^l snapped to an integer >= 1."""
+    return max(1, round(q ** l))
+
+
+def cell_coords(X, n: int) -> np.ndarray:
+    """Grid coordinates of points on an n-per-axis grid of [0,1]^d.
+
+    Cell i of an axis is [i/n, (i+1)/n); x = 1 falls in the last cell.
+    """
+    return np.minimum(n - 1, np.floor(np.asarray(X) * n).astype(np.int64))
+
+
 def build_partition(d: int, q: float, l: float) -> Partition:
-    """Partition of [0,1]^d into max(1, round(q^l))^d congruent hypercubes."""
+    """Partition of [0,1]^d into cells_per_axis(q, l)^d congruent hypercubes."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if q <= 1:
         raise InvalidBaseError(f"base q must exceed 1, got {q}")
     if l < 0:
         raise ValueError(f"level must be >= 0, got {l}")
-    per_axis = max(1, round(q ** l))
-    return Partition(d=d, q=float(q), l=float(l), per_axis=per_axis)
+    return Partition(d=d, q=float(q), l=float(l), per_axis=cells_per_axis(q, l))
 
 
 def locate_bin(partition: Partition, x) -> BinId:
@@ -63,9 +75,7 @@ def locate_bin(partition: Partition, x) -> BinId:
         raise OutOfDomainError(f"point shape {x_arr.shape} != (d={partition.d},)")
     if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
         raise OutOfDomainError(f"point {x_arr} outside [0,1]^d")
-    pa = partition.per_axis
-    coords = np.minimum(pa - 1, np.floor(x_arr * pa).astype(int))
-    return tuple(int(c) for c in coords)
+    return tuple(cell_coords(x_arr, partition.per_axis).tolist())
 
 
 def qadic_boxes(d: int, q: float, l: int) -> list:
@@ -142,11 +152,11 @@ def sacb_levels(T: int, d: int, q: float, beta_lo: float, beta_hi: float,
 def mesh_points(bin_id: BinId, partition: Partition, q: float, l_tilde: int) -> np.ndarray:
     """Mesh points (m_1/g, ..., m_d/g), m_i >= 1, inside the closed bin.
 
-    g = max(1, round(q^l_tilde)).  Returns shape (n_points, d); when the
+    g = cells_per_axis(q, l_tilde).  Returns shape (n_points, d); when the
     grid is coarser than the bin the bin center is emitted so the mesh is
     never empty.
     """
-    g = max(1, round(q ** l_tilde))
+    g = cells_per_axis(q, l_tilde)
     box = partition.box(bin_id)
     per_axis_values = []
     eps = 1e-9

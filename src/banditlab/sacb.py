@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abse import AbseConfig, AbsePolicy
+from .abse import AbseConfig, AbsePolicy, next_arm
 from .errors import StateDesyncError
 from .locpoly import floor_strict, window_fits
-from .partition import build_partition, locate_bin, log_base, mesh_points, sacb_levels
+from .partition import (build_partition, cells_per_axis, locate_bin, log_base,
+                        mesh_points, sacb_levels)
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class SacbConfig:
 
 
 def round_samples(q: float, r: int) -> int:
-    """Per-arm sample count for round r (geometric growth, rounded)."""
-    return max(1, round(q ** r))
+    """Per-arm sample count for round r: q^r snapped as cells_per_axis does."""
+    return cells_per_axis(q, r)
 
 
 def test_threshold(gamma: float, T: int, d: int, beta_lo: float, q: float,
@@ -119,8 +120,7 @@ class SacbPolicy:
     def choose(self, x) -> int:
         if self.handoff is not None:
             return self.handoff.choose(x)
-        st = self.state[locate_bin(self.partition, x)]
-        return 2 if st.counts[0] > st.counts[1] else 1
+        return next_arm(self.state[locate_bin(self.partition, x)].counts)
 
     def update(self, x, arm: int, y: float) -> None:
         if self.handoff is not None:
@@ -129,7 +129,7 @@ class SacbPolicy:
             return
         bin_id = locate_bin(self.partition, x)
         st = self.state[bin_id]
-        expected = 2 if st.counts[0] > st.counts[1] else 1
+        expected = next_arm(st.counts)
         if arm != expected:
             raise StateDesyncError(f"alternation expected arm {expected}, got {arm}")
         st.buffers[arm - 1].append((np.atleast_1d(np.asarray(x, float)).copy(), float(y)))
@@ -152,30 +152,32 @@ class SacbPolicy:
 
     def hypothesis_test(self, bin_id) -> bool:
         """Compare coarse and fine fits of the current round's buffers."""
-        cfg = self.config
         st = self.state[bin_id]
-        thr = test_threshold(cfg.gamma, self.T, self.d, cfg.beta_lo, cfg.q, st.r)
         arms = [(np.stack([rec[0] for rec in buf]), np.array([rec[1] for rec in buf]))
                 for buf in st.buffers if buf]
-        return self.round_statistic(bin_id, arms) > thr
+        return self.round_fires(bin_id, st.r, arms)
 
-    def round_statistic(self, bin_id, arms) -> float:
-        """Sup over arms and mesh points of |coarse fit - fine fit|.
+    def round_fires(self, bin_id, r: int, arms) -> bool:
+        """Whether round r's test fires in this bin.
 
-        arms holds one (X, y) pair per arm with samples this round.
+        It fires when, for some arm, the sup over mesh points of
+        |coarse fit - fine fit| exceeds test_threshold at round r.  arms
+        holds one (X, y) pair per arm with samples this round.
         """
-        h1 = self.config.q ** (-self.levels.j1)
-        h2 = self.config.q ** (-self.levels.j2)
+        cfg = self.config
+        thr = test_threshold(cfg.gamma, self.T, self.d, cfg.beta_lo, cfg.q, r)
+        h1 = cfg.q ** (-self.levels.j1)
+        h2 = cfg.q ** (-self.levels.j2)
         mesh = self.mesh[bin_id]
         n = len(mesh)
         # Coarse and fine fits in one call: the mesh twice, one bandwidth each.
         centers = np.concatenate([mesh, mesh])
         h = np.repeat([h1, h2], n)
-        sup = 0.0
         for X, y in arms:
             v = window_fits(X, y, centers, h, self.degree)
-            sup = max(sup, float(np.max(np.abs(v[:n] - v[n:]))))
-        return sup
+            if np.max(np.abs(v[:n] - v[n:])) > thr:
+                return True
+        return False
 
     def estimate_smoothness(self) -> float:
         """Raw estimate from the recorded rounds (clamping happens at handoff)."""

@@ -74,8 +74,10 @@ def run_episode(instance: ProblemInstance, policy_spec, T: int, seed: int,
                 force_sequential: bool = False) -> RegretTrace:
     """One seeded episode; returns the regret trace.
 
-    policy_spec may be a PolicySpec (vectorized engine when available) or a
-    live policy object (always run step by step).
+    policy_spec may be a PolicySpec or a live policy object.  Either way
+    the episode runs on the vectorized engine for the policy's class when
+    `fast.run_fast` has one, and step by step otherwise;
+    force_sequential=True always runs it step by step.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")

@@ -157,6 +157,28 @@ class TestRun:
         out = Path(json.loads(p.read_text())["output_dir"])
         assert not (out / "results.csv").exists()
 
+    # Each of these used to pass parsing: the horizons too short for the
+    # policy failed mid-run (exit 3, partial results.csv), "abc" escaped as
+    # a ValueError traceback and 2500.5 ran silently at T = 2500.
+    @pytest.mark.parametrize("over,match", [
+        ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
+         "horizon must be >= 2"),
+        ({"T": 2, "policies": [{"kind": "sacb"}]}, "T=2"),
+        ({"sweep": {"T": [1]}}, "horizon must be >= 2"),
+        ({"T": "abc"}, "T must be an integer"),
+        ({"T": 2500.5}, "T must be an integer"),
+        ({"reps": "two"}, "reps must be an integer"),
+    ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
+            "reps-not-a-number"])
+    def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
+                                                             over, match):
+        p = small_config(tmp_path, **over)
+        with pytest.raises(ValidationError, match=match):
+            parse_config(p)
+        assert main(["run", "--config", str(p)]) == 2
+        out = Path(json.loads(p.read_text())["output_dir"])
+        assert not (out / "results.csv").exists()
+
     def test_runtime_failure_exit_code_and_manifest(self, tmp_path):
         # valid config whose instance construction degenerates at runtime:
         # setting1 at a horizon where no bump fits

@@ -1,10 +1,14 @@
 """The vectorized engines must replay the sequential policies exactly."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from banditlab import fast, rng
 from banditlab.instances import make_instance, make_power_payoff
+from banditlab.partition import cells_per_axis, sacb_levels
 from banditlab.policies import PolicySpec
 import banditlab.sim as sim
 
@@ -65,6 +69,17 @@ CASES = [
      PolicySpec("sacb", {"gamma": 0.42, "q": 1.5, "upsilon": 2.5,
                          "beta_lo": 0.6, "beta_hi": 0.9,
                          "handoff_horizon": "remaining"}), 50_000),
+    # ABSE alone in d = 2: about 80 splits into 4 children each, a few
+    # eliminations, and over 200 commits at depth k0 = 4.
+    ({"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,
+      "delta": 0.25, "member": 1, "d": 2},
+     PolicySpec("abse", {"beta": 0.5, "c0": 4.0, "gamma_abse": 0.25}), 15_000),
+    # Found by the fuzz below: with Bernoulli rewards the arms can tie at a
+    # depth-k0 lifetime commit (seed 17).  Both sides must break the tie on
+    # reward sums, not on running means, whose rounding differs.
+    ({"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,
+      "delta": 0.25, "member": 1, "d": 2},
+     PolicySpec("abse", {"beta": 0.75, "c0": 4.0, "gamma_abse": 1.0}), 5_000),
 ]
 
 
@@ -117,3 +132,66 @@ def test_run_episode_paths_agree():
     b = sim.run_episode(instance, pspec, 20_000, seed=23, force_sequential=True)
     assert a.final_regret == pytest.approx(b.final_regret, abs=1e-9)
     assert a.inferior_count == b.inferior_count
+
+
+LOWER_BOUND = {"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,
+               "delta": 0.25, "member": 1}
+
+
+@st.composite
+def engine_cases(draw):
+    """An instance spec, a policy spec, a horizon and a seed."""
+    d = draw(st.sampled_from([1, 2]))
+    kind = "lower_bound" if d == 2 else draw(
+        st.sampled_from(["setting1", "power", "lower_bound"]))
+    if kind == "setting1":      # Gaussian; the construction needs T >= 1000
+        inst = {"kind": "setting1", "beta": 0.9,
+                "overrides": {"M": draw(st.sampled_from([4.0, 8.0]))}}
+        T = draw(st.integers(1000, 5000))
+    elif kind == "power":
+        inst = {"kind": "power", "beta": 0.6, "delta": 1.0,
+                "noise": draw(st.sampled_from([["gaussian", 0.05],
+                                               ["gaussian", 0.5], ["bernoulli"]]))}
+        T = draw(st.integers(300, 5000))
+    else:                       # Bernoulli
+        inst = dict(LOWER_BOUND, d=d)
+        T = draw(st.integers(300, 5000))
+    if draw(st.booleans()):
+        params = {"beta": draw(st.floats(0.2, 1.0)),
+                  "c0": draw(st.sampled_from([2.0, 4.0])),
+                  "gamma_abse": draw(st.sampled_from([0.25, 1.0, 2.0]))}
+        pspec = PolicySpec("abse", params)
+    else:
+        beta_lo = draw(st.floats(0.4, 1.0))
+        params = {"beta_lo": beta_lo,
+                  "beta_hi": draw(st.floats(beta_lo, 1.6)),
+                  "q": draw(st.floats(1.4, 3.0)),
+                  "gamma": draw(st.floats(0.05, 2.0)),
+                  "upsilon": draw(st.floats(0.5, 3.0)),
+                  "handoff_horizon": draw(st.sampled_from(["full", "remaining"]))}
+        pspec = PolicySpec("sacb", params)
+        if d == 2:
+            # The sequential policy fits every mesh point each round; in
+            # d = 2 the mesh reaches 10^8 points, so keep it under 3 * 10^4.
+            lv = sacb_levels(T, d, params["q"], beta_lo, params["beta_hi"],
+                             params["upsilon"])
+            assume(cells_per_axis(params["q"], lv.l_tilde) ** d <= 30_000)
+    return inst, pspec, T, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases())
+def test_engine_matches_sequential_fuzz(case):
+    inst_spec, pspec, T, seed = case
+    instance = make_instance(inst_spec, T)
+    X, Y = streams(instance, T, seed)
+    fast_pol = pspec.build(instance, T)
+    with mock.patch.object(fast, "abse_actions", wraps=fast.abse_actions) as spy:
+        a_fast = fast.run_fast(fast_pol, X, Y)
+    seq_pol = pspec.build(instance, T)
+    assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
+    if pspec.kind == "sacb":
+        assert fast_pol.t_sacb == seq_pol.t_sacb
+        assert fast_pol.beta_hat_raw == seq_pol.beta_hat_raw
+        handed = [call.args[0] for call in spy.call_args_list]
+        assert handed == ([seq_pol.handoff.config] if seq_pol.handoff else [])
