@@ -69,22 +69,32 @@ def _draw_rewards(instance: ProblemInstance, F: np.ndarray, seed: int,
     return Y
 
 
+def draw_streams(instance: ProblemInstance, T: int, seed: int, rep: int = 0):
+    """Covariates X, payoffs F and rewards Y of replication (seed, rep).
+
+    Every policy run on that replication sees these same arrays.
+    """
+    X = rng.covariate_block(seed, rep, T, instance.d)
+    F = instance.payoffs(X[:, 0] if instance.d == 1 else X)
+    return X, F, _draw_rewards(instance, F, seed, rep, T)
+
+
 def run_episode(instance: ProblemInstance, policy_spec, T: int, seed: int,
                 checkpoint_stride: int | None = None, rep: int = 0,
-                force_sequential: bool = False) -> RegretTrace:
+                force_sequential: bool = False, streams=None) -> RegretTrace:
     """One seeded episode; returns the regret trace.
 
     policy_spec may be a PolicySpec or a live policy object.  Either way
     the episode runs on the vectorized engine for the policy's class when
     `fast.run_fast` has one, and step by step otherwise;
-    force_sequential=True always runs it step by step.
+    force_sequential=True always runs it step by step.  streams, if given,
+    is draw_streams(instance, T, seed, rep), drawn once and shared by the
+    policies of a replication; the arrays are only read.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
-    X = rng.covariate_block(seed, rep, T, instance.d)
-    F = instance.payoffs(X[:, 0] if instance.d == 1 else X)
-    Y = _draw_rewards(instance, F, seed, rep, T)
+    X, F, Y = streams or draw_streams(instance, T, seed, rep)
 
     if isinstance(policy_spec, PolicySpec):
         policy = policy_spec.build(instance, T)
@@ -148,12 +158,14 @@ def summarize(traces, policy_label: str = "") -> ExperimentSummary:
     )
 
 
-def _episode_cell(args):
-    instance_spec, T, policy_spec, rep, base_seed, stride = args
+def _replication_cell(args):
+    """A group of policies on one replication, sharing one draw of its streams."""
+    instance_spec, T, policy_specs, rep, base_seed, stride = args
     instance = (instance_spec if isinstance(instance_spec, ProblemInstance)
                 else make_instance(instance_spec, T))
-    return run_episode(instance, policy_spec, T, base_seed,
-                       checkpoint_stride=stride, rep=rep)
+    streams = draw_streams(instance, T, base_seed, rep)
+    return [run_episode(instance, ps, T, base_seed, checkpoint_stride=stride,
+                        rep=rep, streams=streams) for ps in policy_specs]
 
 
 def dedup_labels(policy_specs) -> list:
@@ -184,24 +196,27 @@ def run_experiment(instance_spec, policy_specs, T: int, reps: int,
     specs = list(policy_specs)
     labels = dedup_labels(specs)
 
-    cells = [
-        (instance_spec, T, ps, rep, base_seed, checkpoint_stride)
-        for ps in specs for rep in range(reps)
-    ]
-    if parallelism > 1 and isinstance(instance_spec, dict):
+    parallel = parallelism > 1 and isinstance(instance_spec, dict)
+    if parallelism > 1 and not parallel:
+        warnings.warn(
+            f"run_experiment(parallelism={parallelism}) got a ProblemInstance, "
+            "which worker processes cannot rebuild; running serially (pass "
+            "an instance spec dict to run in parallel)",
+            RuntimeWarning, stacklevel=2)
+    # A task runs a group of policies on one replication and draws its
+    # streams once.  Each replication is split into just enough groups to
+    # give every worker a task.
+    groups = min(len(specs), -(-parallelism // reps)) if parallel else 1
+    cuts = [len(specs) * g // groups for g in range(groups + 1)]
+    cells = [(instance_spec, T, specs[a:b], rep, base_seed, checkpoint_stride)
+             for rep in range(reps) for a, b in zip(cuts, cuts[1:])]
+    if parallel:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as ex:
-            results = list(ex.map(_episode_cell, cells, chunksize=1))
+            results = list(ex.map(_replication_cell, cells, chunksize=1))
     else:
-        if parallelism > 1:
-            warnings.warn(
-                f"run_experiment(parallelism={parallelism}) got a ProblemInstance, "
-                "which worker processes cannot rebuild; running serially (pass "
-                "an instance spec dict to run in parallel)",
-                RuntimeWarning, stacklevel=2)
-        results = [_episode_cell(c) for c in cells]
+        results = [_replication_cell(c) for c in cells]
 
-    out = {}
-    for i, (label, ps) in enumerate(zip(labels, specs)):
-        traces = results[i * reps:(i + 1) * reps]
-        out[label] = summarize(traces, policy_label=label)
-    return out
+    per_rep = [sum(results[r * groups:(r + 1) * groups], [])
+               for r in range(reps)]
+    return {label: summarize([traces[i] for traces in per_rep], policy_label=label)
+            for i, label in enumerate(labels)}

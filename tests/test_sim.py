@@ -1,8 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from banditlab import rng
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
 from banditlab.policies import FixedArmPolicy, PolicySpec
 from banditlab.sim import RegretTrace, run_episode, run_experiment, summarize
@@ -112,6 +114,29 @@ class TestExperiment:
                              parallelism=4)
         for k in serial:
             assert serial[k].mean_regret == par[k].mean_regret
+
+    @pytest.mark.parametrize("reps,parallelism", [(1, 2), (2, 4), (3, 2)])
+    def test_policy_groups_match_single_episodes(self, reps, parallelism):
+        # Fewer replications than workers splits each replication's
+        # policies into groups; every trace must still be the episode
+        # run_episode gives on its own, in replication order.
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        policies = [PolicySpec("abse", {"beta": 0.5}), PolicySpec("oracle", {}),
+                    PolicySpec("abse", {"beta": 0.9})]
+        res = run_experiment(spec, policies, 15_000, reps=reps, base_seed=12,
+                             parallelism=parallelism)
+        inst = make_instance(spec, 15_000)
+        for ps, s in zip(policies, res.values()):
+            alone = [run_episode(inst, ps, 15_000, 12, rep=r) for r in range(reps)]
+            assert s.traces == tuple(alone)
+
+    def test_serial_run_draws_each_replication_once(self):
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        policies = [PolicySpec("abse", {"beta": 0.5}), PolicySpec("oracle", {})]
+        with mock.patch.object(rng, "covariate_block",
+                               wraps=rng.covariate_block) as draws:
+            run_experiment(spec, policies, 15_000, reps=3, base_seed=12)
+        assert draws.call_count == 3
 
     def test_instance_object_with_parallelism_warns_and_runs_serially(self):
         inst = make_instance({"kind": "setting1", "beta": 0.9,
