@@ -106,7 +106,6 @@ class AbsePolicy:
         root = _Bin(0, (0,) * config.d, lifetime(config, 0))
         self.bins = {(0, root.coords): root}
         self.n_splits = 0
-        self.n_commits = 0
 
     # -- bin lookup --------------------------------------------------------
 
@@ -151,19 +150,15 @@ class AbsePolicy:
         eps = radius(self.config, b.depth, s)
         gap = (b.sums[0] - b.sums[1]) / s
         if abs(gap) > eps:
-            self._commit(b, 1 if gap > 0 else 2)
+            b.committed = 1 if gap > 0 else 2
             return
         if s >= b.life:
             if b.depth < self.k0:
                 self._split(b)
             else:
-                self._commit(b, 1 if gap >= 0 else 2)
+                b.committed = 1 if gap >= 0 else 2
 
     # -- tree transitions ---------------------------------------------------
-
-    def _commit(self, b: _Bin, arm: int) -> None:
-        b.committed = arm
-        self.n_commits += 1
 
     def _split(self, b: _Bin) -> None:
         del self.bins[(b.depth, b.coords)]

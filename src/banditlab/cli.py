@@ -99,11 +99,14 @@ def parse_config(path_or_dict) -> dict:
         problems.append("instance.beta is required")
     cfg["instance"] = inst
 
-    sweep = dict(raw.get("sweep") or {})
-    for key in sweep:
+    cfg["sweep"] = {}
+    for key, values in dict(raw.get("sweep") or {}).items():
         if key not in ("tilde_beta", "T", "beta"):
             problems.append(f"sweep key {key!r} not supported (tilde_beta, T, beta)")
-    cfg["sweep"] = {k: list(v) for k, v in sweep.items()}
+        if isinstance(values, (list, tuple)):
+            cfg["sweep"][key] = list(values)
+        else:
+            problems.append(f"sweep.{key} must be a list of values, got {values!r}")
 
     cfg["T"] = _integer(raw.get("T", 0), "T", problems, low=1)
     # Every horizon a run uses, as _cells takes them.
@@ -149,7 +152,9 @@ def parse_config(path_or_dict) -> dict:
     cfg["base_seed"] = _integer(raw.get("base_seed", 20240601), "base_seed", problems)
     cfg["threads"] = _integer(raw.get("threads", 1), "threads", problems)
     cfg["traces"] = bool(raw.get("traces", False))
-    cfg["checkpoint_stride"] = raw.get("checkpoint_stride")
+    stride = raw.get("checkpoint_stride")
+    cfg["checkpoint_stride"] = (None if stride is None else
+                                _integer(stride, "checkpoint_stride", problems, low=1))
     cfg["output_dir"] = str(raw.get("output_dir", "out"))
 
     needs_tilde = any(p["kind"] == "abse" and "beta" not in p for p in norm_policies)
@@ -263,10 +268,15 @@ def _write_results(out_dir: Path, rows: list[dict]) -> None:
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
 
 
+def _file_label(label: str) -> str:
+    """A policy label as it appears in file names: abse(0.9) -> abse_0p9."""
+    return label.replace("(", "_").replace(")", "").replace(".", "p")
+
+
 def _write_traces(out_dir: Path, chash: str, cell_idx: int, label: str, traces):
     tdir = out_dir / "traces"
     tdir.mkdir(exist_ok=True)
-    safe = label.replace("(", "_").replace(")", "").replace(".", "p")
+    safe = _file_label(label)
     for tr in traces:
         lines = [f"# banditlab {__version__} config {chash}",
                  "t,cum_regret,inferior_count"]
@@ -357,8 +367,7 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
             ci = float(r["ci95"]) if r["ci95"] else 0.0
             curves.setdefault(r["policy"], []).append((x, mean, mean - ci, mean + ci))
         for label, pts in curves.items():
-            safe = label.replace("(", "_").replace(")", "").replace(".", "p")
-            f = pdir / f"curve_{safe}.csv"
+            f = pdir / f"curve_{_file_label(label)}.csv"
             lines = [f"# banditlab {version}", PLOT_HEADER]
             for x, m, lo, hi in sorted(pts):
                 lines.append(f"{fmt(x)},{fmt(m)},{fmt(lo)},{fmt(hi)}")
@@ -378,15 +387,9 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
             by_key[key] = r
         # one matrix column per (policy, tilde_beta) combination
         col_keys = list(dict.fromkeys((r["policy"], r["tilde_beta"]) for r in rows))
-
-        def col_name(pk):
-            pol, tb = pk
-            return f"{pol}[{tb}]" if tb != "" and pol == "abse(None)" else pol
-
-        matrix = [f"# banditlab {version} (regret / {fmt(unit)})",
-                  "beta," + ",".join(col_name(k) for k in col_keys)]
-        rl_rows = [f"# banditlab {version}",
-                   "beta," + ",".join(col_name(k) for k in col_keys)]
+        header = "beta," + ",".join(pol for pol, _ in col_keys)
+        matrix = [f"# banditlab {version} (regret / {fmt(unit)})", header]
+        rl_rows = [f"# banditlab {version}", header]
         for b in betas:
             vals, rls = [], []
             ref = None

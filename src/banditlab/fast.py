@@ -115,13 +115,14 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     return actions
 
 
-def run_fast(policy, X: np.ndarray, Y: np.ndarray):
-    """Dispatch to a vectorized engine; None when no engine exists."""
+def run_fast(policy, X: np.ndarray, Y: np.ndarray, F: np.ndarray):
+    """Dispatch to a vectorized engine; None when no engine exists.
+
+    F holds the payoffs at X, shape (n, 2); only the oracle reads it.
+    """
     if isinstance(policy, FixedArmPolicy):
         return np.full(len(X), policy.arm, dtype=np.int8)
     if isinstance(policy, OraclePolicy):
-        inst = policy.instance
-        F = inst.payoffs(X[:, 0] if inst.d == 1 else X)
         return np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)
     if isinstance(policy, AbsePolicy):
         return abse_actions(policy.config, X, Y)

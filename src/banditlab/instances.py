@@ -1,9 +1,9 @@
 """Problem instances: payoff generators, property verifiers, exponents.
 
-Generators return `ProblemInstance` values whose payoff callables are pure
-and vectorized (d = 1 payoffs accept arrays of points; d > 1 payoffs accept
-(n, d) arrays).  Verifiers grade declared smoothness / margin /
-self-similarity constants on dense grids and return `PropertyReport`s.
+Generators return `ProblemInstance` values whose payoff callables are pure,
+vectorized and follow one point convention (see `ProblemInstance`).
+Verifiers grade declared smoothness / margin / self-similarity constants on
+dense grids and return `PropertyReport`s.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateBumpsError, InvalidGapError, InvalidRegimeError
 from .locpoly import floor_strict
 from .partition import qadic_boxes
-from .projection import project_to_polynomial
+from .projection import eval_points, project_to_polynomial
 
 GAUSSIAN_SIGMA_DEFAULT = 0.05
 
@@ -25,9 +25,12 @@ GAUSSIAN_SIGMA_DEFAULT = 0.05
 class ProblemInstance:
     """Two-armed contextual bandit instance on [0,1]^d.
 
-    noise is ("gaussian", sigma) or ("bernoulli",); covariates are uniform
-    (density bounds rho = (1, 1)).  meta carries declared constants
-    (beta, L, alpha, C0, self-similarity b / l0, ...) where known.
+    f1 and f2 follow the point convention of the generators: a scalar is
+    one point (d = 1) and gives a float; a 1-D array is n points when d = 1
+    and one point when d > 1; an (n, d) array is n points; array inputs
+    give an (n,) array.  noise is ("gaussian", sigma) or ("bernoulli",);
+    covariates are uniform.  meta carries declared constants (beta, L,
+    alpha, C0, self-similarity b / l0, ...) where known.
     """
 
     name: str
@@ -36,16 +39,10 @@ class ProblemInstance:
     f2: object
     noise: tuple
     meta: dict = field(default_factory=dict)
-    rho: tuple = (1.0, 1.0)
-
-    def payoff(self, arm: int, x):
-        f = self.f1 if arm == 1 else self.f2
-        return f(x)
 
     def payoffs(self, x):
-        """Stacked payoffs, shape (n, 2)."""
-        return np.stack([np.asarray(self.f1(x), dtype=float),
-                         np.asarray(self.f2(x), dtype=float)], axis=-1)
+        """Stacked payoffs, shape (n, 2), at (n, d) points (or n points when d = 1)."""
+        return np.column_stack([self.f1(x), self.f2(x)])
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,24 @@ class PropertyReport:
     holds: bool
     witness: dict
     margin_of_violation: float
+
+
+def _instance(name, d, g1, g2, noise, meta) -> ProblemInstance:
+    """Instance whose arms g1, g2 are written on (n, d) arrays of points."""
+
+    def arm(g):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            out = g(x.reshape(-1, d))
+            return float(out[0]) if x.ndim == 0 else out
+        return f
+
+    return ProblemInstance(name, d, arm(g1), arm(g2), noise, meta)
+
+
+def _constant(value: float):
+    """Arm paying value everywhere."""
+    return lambda pts: np.full(len(pts), value)
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +92,17 @@ def bump(x, beta: float):
     return float(out[0]) if scalar else out
 
 
+def _bump_field(u, amp, scale, centers, signs, beta):
+    """1/2 + amp * sum_j s_j bump(scale (u - a_j)), summed in the order of j."""
+    total = np.zeros_like(u)
+    for aj, sj in zip(centers, signs):
+        total += sj * bump(scale * (u - aj), beta)
+    return 0.5 + amp * total
+
+
 def _norms(points, d):
     """Sup-norms for a batch of points of dimension d."""
     p = np.asarray(points, dtype=float)
-    if d == 1:
-        return np.abs(p).reshape(-1)
     return np.max(np.abs(p.reshape(-1, d)), axis=1)
 
 
@@ -109,40 +130,54 @@ def psi_hat(x, kappa: float, d: int = 1):
 # Setting I / II generators (one-dimensional experiment payoffs)
 
 
-def _settings_payoffs(beta, L1, C, M, m, sigma, name, alpha, extra_meta):
-    """Shared left branch plus the oscillating right branch."""
+def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
+    """Setting I/II: a shared left branch, and bumps on arm 1's right branch.
+
+    tau, C and alpha are the setting's defaults (alpha None means 1/beta);
+    overrides may replace them, and M = scale(tau) and the bump count m.
+    extra is added to meta.
+    """
+    if not (0 < beta <= 1):
+        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    if T < 1000:
+        raise ValueError(f"horizon too short for the construction, T={T}")
+    ov = dict(overrides or {})
+    tau = ov.get("tau", tau)
+    L1 = ov.get("L1", 1.0)
+    C = ov.get("C", C)
+    alpha = ov.get("alpha", 1.0 / beta if alpha is None else alpha)
+    sigma = ov.get("sigma", GAUSSIAN_SIGMA_DEFAULT)
+    M = float(ov["M"]) if "M" in ov else scale(tau)
+    # Bumps j with (j + 1)/M <= 1 keep their support inside (1/2, 1), which
+    # is what keeps f1 continuous at 1/2; the nominal count M^(1-alpha*beta)
+    # can exceed that by one for alpha near 0.
+    m = int(ov.get("m", min(math.floor(M ** (1.0 - alpha * beta)),
+                            math.floor(M - 1.0))))
+    if m < 1:
+        raise DegenerateBumpsError(f"bump count m={m} < 1 for M={M:.4g}")
+
     amp = C * (2.0 * M) ** (-beta)
     a = (np.arange(1, m + 1) + 0.5) / M
     signs = (-1.0) ** np.arange(1, m + 1)
     half = 0.5 * (1.0 + L1 * 0.5 ** beta)
 
     def left(x):
-        return half - 0.5 * L1 * x ** beta
+        """The shared branch on x <= 1/2, and the mask of the other points."""
+        lo = x <= 0.5
+        out = np.empty_like(x)
+        out[lo] = half - 0.5 * L1 * x[lo] ** beta
+        return out, ~lo
 
-    def right_osc(x):
-        y = 2.0 - 2.0 * x
-        total = np.zeros_like(y)
-        for aj, sj in zip(a, signs):
-            total += sj * bump(2.0 * M * (y - aj), beta)
-        return 0.5 + amp * total
+    def f1(pts):
+        x = pts[:, 0]
+        out, hi = left(x)
+        out[hi] = _bump_field(2.0 - 2.0 * x[hi], amp, 2.0 * M, a, signs, beta)
+        return out
 
-    def f1(x):
-        scalar = np.ndim(x) == 0
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        lo = xa <= 0.5
-        out = np.empty_like(xa)
-        out[lo] = left(xa[lo])
-        out[~lo] = right_osc(xa[~lo])
-        return float(out[0]) if scalar else out
-
-    def f2(x):
-        scalar = np.ndim(x) == 0
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        lo = xa <= 0.5
-        out = np.empty_like(xa)
-        out[lo] = left(xa[lo])
-        out[~lo] = 0.5
-        return float(out[0]) if scalar else out
+    def f2(pts):
+        out, hi = left(pts[:, 0])
+        out[hi] = 0.5
+        return out
 
     # Margin constant: within each bump the mass where 0 < gap <= delta is
     # (delta/amp)^(1/beta) of the bump width; maximized at delta = amp.
@@ -155,21 +190,9 @@ def _settings_payoffs(beta, L1, C, M, m, sigma, name, alpha, extra_meta):
     meta = {
         "beta": beta, "L": L_decl, "alpha": alpha,
         "C0": C0, "M": M, "m": m, "amplitude": amp, "bump_centers": a,
-        "sigma": sigma,
+        "sigma": sigma, "tau": tau, "C": C, "L1": L1, **extra,
     }
-    meta.update(extra_meta)
-    return ProblemInstance(
-        name=name, d=1, f1=f1, f2=f2, noise=("gaussian", sigma), meta=meta,
-    )
-
-
-def _capped_bump_count(M: float, alpha: float, beta: float) -> int:
-    # Bumps j with (j + 1)/M <= 1 keep their support inside (1/2, 1), which
-    # is what keeps f1 continuous at 1/2; the nominal count M^(1-alpha*beta)
-    # can exceed that by one for alpha near 0.
-    m = math.floor(M ** (1.0 - alpha * beta))
-    m_fit = math.floor(M - 1.0)
-    return min(m, m_fit)
+    return _instance(name, 1, f1, f2, ("gaussian", sigma), meta)
 
 
 def make_setting_one(beta: float, T: int, overrides: dict | None = None) -> ProblemInstance:
@@ -179,28 +202,15 @@ def make_setting_one(beta: float, T: int, overrides: dict | None = None) -> Prob
     tau = 0.8, then m = floor(M^(1 - alpha beta)) alternating bumps of
     half-width 1/(4M) on the right half, Gaussian rewards (sigma = 0.05).
     """
-    if not (0 < beta <= 1):
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    if T < 1000:
-        raise ValueError(f"horizon too short for the construction, T={T}")
-    ov = dict(overrides or {})
-    tau = ov.get("tau", 0.8)
-    L1 = ov.get("L1", 1.0)
-    C = ov.get("C", 1.0)
-    alpha = ov.get("alpha", 0.01)
-    c0 = ov.get("c0", 2.0)
-    sigma = ov.get("sigma", GAUSSIAN_SIGMA_DEFAULT)
-    if "M" in ov:
-        M = float(ov["M"])
-    else:
+    c0 = dict(overrides or {}).get("c0", 2.0)
+
+    def scale(tau):
         inner = math.floor((1.0 / (2.0 * c0))
                            * (2.0 * math.log(2.0) / T) ** (-tau / (tau + 1.0)))
-        M = inner ** (1.0 / beta) / 16.0
-    m = int(ov.get("m", _capped_bump_count(M, alpha, beta)))
-    if m < 1:
-        raise DegenerateBumpsError(f"bump count m={m} < 1 for M={M:.4g}")
-    return _settings_payoffs(beta, L1, C, M, m, sigma, "setting1", alpha,
-                             {"tau": tau, "C": C, "L1": L1, "c0": c0})
+        return inner ** (1.0 / beta) / 16.0
+
+    return _make_setting("setting1", beta, T, overrides, scale,
+                         tau=0.8, C=1.0, alpha=0.01, c0=c0)
 
 
 def make_setting_two(beta: float, T: int, overrides: dict | None = None) -> ProblemInstance:
@@ -209,26 +219,12 @@ def make_setting_two(beta: float, T: int, overrides: dict | None = None) -> Prob
     M = 2^ceil(log2(T / (2 ln 2)) / (tau + 1)) / 4 with tau = 0.6, margin
     exponent alpha = 1/beta, amplitude factor C = 50.
     """
-    if not (0 < beta <= 1):
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    if T < 1000:
-        raise ValueError(f"horizon too short for the construction, T={T}")
-    ov = dict(overrides or {})
-    tau = ov.get("tau", 0.6)
-    L1 = ov.get("L1", 1.0)
-    C = ov.get("C", 50.0)
-    alpha = ov.get("alpha", 1.0 / beta)
-    sigma = ov.get("sigma", GAUSSIAN_SIGMA_DEFAULT)
-    if "M" in ov:
-        M = float(ov["M"])
-    else:
+    def scale(tau):
         k = math.ceil(math.log2(T / (2.0 * math.log(2.0))) / (tau + 1.0))
-        M = 2.0 ** k / 4.0
-    m = int(ov.get("m", _capped_bump_count(M, alpha, beta)))
-    if m < 1:
-        raise DegenerateBumpsError(f"bump count m={m} < 1 for M={M:.4g}")
-    return _settings_payoffs(beta, L1, C, M, m, sigma, "setting2", alpha,
-                             {"tau": tau, "C": C, "L1": L1})
+        return 2.0 ** k / 4.0
+
+    return _make_setting("setting2", beta, T, overrides, scale,
+                         tau=0.6, C=50.0, alpha=None)
 
 
 def make_power_payoff(beta: float, delta: float,
@@ -245,13 +241,9 @@ def make_power_payoff(beta: float, delta: float,
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     x_cap = delta ** (1.0 / beta)
 
-    def f1(x):
-        x = np.asarray(x, dtype=float)
+    def f1(pts):
+        x = pts[:, 0]
         return np.where(x <= x_cap, x ** beta, delta)
-
-    def f2(x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, 0.5)
 
     meta = {
         "beta": beta, "L": 1.0, "delta": delta,
@@ -259,10 +251,8 @@ def make_power_payoff(beta: float, delta: float,
         "l0": -math.log2(delta) / beta,
         "alpha": 1.0 / beta,
     }
-    return ProblemInstance(
-        name="power", d=1, f1=f1, f2=f2,
-        noise=noise or ("gaussian", GAUSSIAN_SIGMA_DEFAULT), meta=meta,
-    )
+    return _instance("power", 1, f1, _constant(0.5),
+                     noise or ("gaussian", GAUSSIAN_SIGMA_DEFAULT), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +275,9 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
     if C_phi * Delta > 0.25:
         raise InvalidGapError("C_phi * Delta must stay <= 1/4")
 
-    def _half(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.reshape(-1, d).shape[0] if d > 1 else x.shape, 0.5)
+    def member(f1, meta):
+        return _instance("lower_bound", d, f1, _constant(0.5),
+                         ("bernoulli",), meta)
 
     if variant == "at-most-lipschitz":
         if not (0 < beta < gamma <= 1):
@@ -300,43 +290,36 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
         side0 = 2.0 * Delta ** (alpha / d)
         a0 = np.full(d, Delta ** (alpha / d))
 
-        def phi0(x):
-            pts = np.asarray(x, dtype=float).reshape(-1, d)
+        def phi0(pts):
             arg = (pts - a0) / Delta ** (alpha / d)
             cap = np.minimum(Delta, Delta ** (alpha * gamma / d)
                              * psi_tilde(arg, gamma, d))
-            out = 0.5 - C_phi * cap
-            return out if out.shape[0] > 1 or np.ndim(x) else float(out[0])
+            return 0.5 - C_phi * cap
 
         meta0 = {
             "beta": gamma, "L": C_phi * 2.0 ** (2.0 + 2.0 * gamma),
             "alpha": alpha, "C0": 2.0 ** d * 3.0 * d * C_phi ** (-alpha),
             "Delta": Delta, "M": M, "variant": variant, "member": 0,
         }
-        out = [ProblemInstance("lower_bound", d, phi0, _half,
-                               ("bernoulli",), meta0)]
+        out = [member(phi0, meta0)]
         per_axis = M if d == 1 else math.ceil(M ** (1.0 / d))
         cell_side = side0 / per_axis
         l_m = cell_side / 4.0
         cells = [np.array(idx) for idx in np.ndindex(*([per_axis] * d))][:M]
-        for member, idx in enumerate(cells, start=1):
+        for m, idx in enumerate(cells, start=1):
             a_m = (idx + 0.5) * cell_side
 
-            def phi_m(x, a_m=a_m):
-                pts = np.asarray(x, dtype=float).reshape(-1, d)
+            def phi_m(pts, a_m=a_m):
                 bump_val = 0.5 + C_phi * Delta * psi_hat(
                     2.0 / l_m * (pts - a_m), beta, d)
-                base = np.asarray(phi0(pts), dtype=float).reshape(-1)
-                out_v = np.maximum(base, bump_val)
-                return out_v if out_v.shape[0] > 1 or np.ndim(x) else float(out_v[0])
+                return np.maximum(phi0(pts), bump_val)
 
             meta_m = dict(meta0)
             meta_m.update({"beta": beta,
                            "L": C_phi * 2.0 ** (2.0 + 2.0 * beta),
-                           "member": member, "bump_center": tuple(a_m),
+                           "member": m, "bump_center": tuple(a_m),
                            "cell_side": cell_side})
-            out.append(ProblemInstance("lower_bound", d, phi_m, _half,
-                                       ("bernoulli",), meta_m))
+            out.append(member(phi_m, meta_m))
         return out
 
     if variant == "at-least-lipschitz":
@@ -346,19 +329,15 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
         if gamma <= 1:
             raise InvalidRegimeError(f"need gamma > 1, got {gamma}")
 
-        def phi0(x):
-            pts = np.asarray(x, dtype=float).reshape(-1, d)
-            out = 0.5 - C_phi * (0.5 - pts[:, 0])
-            return out if out.shape[0] > 1 or np.ndim(x) else float(out[0])
+        def phi0(pts):
+            return 0.5 - C_phi * (0.5 - pts[:, 0])
 
         a0_1 = (1.0 - Delta) / 2.0
 
-        def phi1(x):
-            pts = np.asarray(x, dtype=float).reshape(-1, d)
+        def phi1(pts):
             arg = 2.0 / Delta * (pts[:, 0] - a0_1)
             tri = np.where(np.abs(arg) <= 1.0, 1.0 - np.abs(arg), 0.0)
-            out = 0.5 - C_phi * (0.5 - pts[:, 0]) + 2.0 * C_phi * Delta * tri
-            return out if out.shape[0] > 1 or np.ndim(x) else float(out[0])
+            return 0.5 - C_phi * (0.5 - pts[:, 0]) + 2.0 * C_phi * Delta * tri
 
         meta0 = {"beta": gamma, "L": C_phi * 2.0 ** (2.0 * gamma),
                  "alpha": alpha, "C0": 2.5 / C_phi, "Delta": Delta,
@@ -366,10 +345,7 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
         meta1 = dict(meta0)
         meta1.update({"beta": 1.0, "member": 1,
                       "bump_interval": (0.5 - Delta, 0.5)})
-        return [
-            ProblemInstance("lower_bound", d, phi0, _half, ("bernoulli",), meta0),
-            ProblemInstance("lower_bound", d, phi1, _half, ("bernoulli",), meta1),
-        ]
+        return [member(phi0, meta0), member(phi1, meta1)]
 
     raise InvalidRegimeError(f"unknown variant {variant!r}")
 
@@ -386,43 +362,29 @@ def make_example1_family(beta: float, tilde_beta: float, T: int, part: int,
     if d != 1:
         raise NotImplementedError("analysis family is generated for d = 1")
     C = min(2.0 ** (beta - 1.0) * L, 0.25)
+    alpha = 1.0 / beta
     if part == 1:
         M_raw = (0.5 / c0) * (2.0 * math.log(2.0) / T) ** (-tilde_beta / (2 * tilde_beta + d))
         M = max(1, round(math.floor(M_raw) ** (1.0 / beta)))
-        alpha = 1.0 / beta
         m = max(1, math.ceil(mu * M ** (d - alpha * beta)))
         centers = (np.arange(m) + 0.5) / M
-
-        def f1(x):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros_like(x)
-            for aj in centers:
-                total += bump(M * (x - aj), beta)
-            return 0.5 + C * M ** (-beta) * total
+        signs = np.ones(m)
     elif part == 2:
         k = math.ceil(math.log2(T / (2.0 * math.log(2.0))) / (2 * tilde_beta + 1))
         M = 2 ** k
-        alpha = 1.0 / beta
         m = min(M - 2, 2 * math.ceil(mu * M ** (1 - alpha * beta)))
         centers = (np.arange(1, m + 1) + 0.5) / M
         signs = (-1.0) ** np.arange(1, m + 1)
-
-        def f1(x):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros_like(x)
-            for aj, sj in zip(centers, signs):
-                total += sj * bump(M * (x - aj), beta)
-            return 0.5 + C * M ** (-beta) * total
     else:
         raise ValueError(f"part must be 1 or 2, got {part}")
+    amp = C * M ** (-beta)
 
-    def f2(x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, 0.5)
+    def f1(pts):
+        return _bump_field(pts[:, 0], amp, M, centers, signs, beta)
 
     meta = {"beta": beta, "L": L, "alpha": alpha, "M": M, "m": m, "C": C,
             "part": part, "tilde_beta": tilde_beta}
-    return ProblemInstance("example1", 1, f1, f2, ("bernoulli",), meta)
+    return _instance("example1", 1, f1, _constant(0.5), ("bernoulli",), meta)
 
 
 def make_instance(spec: dict, T: int) -> ProblemInstance:
@@ -473,8 +435,6 @@ def _instance_arms(obj):
 
 def _grid(d: int, n: int) -> np.ndarray:
     axis = np.linspace(0.0, 1.0, n)
-    if d == 1:
-        return axis[:, None]
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -497,7 +457,7 @@ def check_holder(instance, beta: float, L: float, grid_n: int = 200,
     worst = None
     margin = math.inf
     for arm_name, f in arms:
-        vals = np.asarray(f(pts[:, 0] if d == 1 else pts), dtype=float)
+        vals = eval_points(f, pts)
         if k == 0:
             diff = np.abs(vals[:, None] - vals[None, :])
         else:
@@ -507,9 +467,8 @@ def check_holder(instance, beta: float, L: float, grid_n: int = 200,
                 shift[j] = fd_step
                 hi = np.clip(pts + shift, 0.0, 1.0)
                 lo = np.clip(pts - shift, 0.0, 1.0)
-                fhi = np.asarray(f(hi[:, 0] if d == 1 else hi), dtype=float)
-                flo = np.asarray(f(lo[:, 0] if d == 1 else lo), dtype=float)
-                grads[:, j] = (fhi - flo) / (hi[:, j] - lo[:, j])
+                grads[:, j] = ((eval_points(f, hi) - eval_points(f, lo))
+                               / (hi[:, j] - lo[:, j]))
             taylor = vals[:, None] + np.einsum(
                 "ij,kij->ik", grads, pts[None, :, :] - pts[:, None, :])
             diff = np.abs(vals[None, :] - taylor)
@@ -542,8 +501,7 @@ def check_margin(instance: ProblemInstance, alpha: float, C0: float,
     d = instance.d
     n_axis = grid_n if d == 1 else max(2, int(round(grid_n ** (1 / d))))
     pts = _grid(d, n_axis)
-    gaps = np.abs(np.asarray(instance.f1(pts[:, 0] if d == 1 else pts), dtype=float)
-                  - np.asarray(instance.f2(pts[:, 0] if d == 1 else pts), dtype=float))
+    gaps = np.abs(eval_points(instance.f1, pts) - eval_points(instance.f2, pts))
     tol = quad_tol if quad_tol is not None else 8.0 / n_axis ** (1 / d) + 1e-12
     margin = math.inf
     worst = None
@@ -556,6 +514,13 @@ def check_margin(instance: ProblemInstance, alpha: float, C0: float,
                      "bound": float(C0 * delta ** alpha)}
     return PropertyReport(holds=margin >= 0.0, witness=worst,
                           margin_of_violation=margin)
+
+
+def _projection_biases(f, box, p: int, h: float, pts: np.ndarray,
+                        nodes_per_axis: int) -> np.ndarray:
+    """|Gamma_h^p f(x; box) - f(x)| at each of the (n, d) points pts."""
+    proj = project_to_polynomial(f, box, p, h, nodes_per_axis=nodes_per_axis)
+    return np.abs(np.array([proj(x) for x in pts]) - eval_points(f, pts))
 
 
 def check_self_similarity(instance: ProblemInstance, beta: float, b: float,
@@ -586,16 +551,13 @@ def check_self_similarity(instance: ProblemInstance, beta: float, b: float,
                                          indexing="ij")).reshape(d, -1).T
             eval_pts = np.vstack([probes, edges])
             for arm, f in (("f1", instance.f1), ("f2", instance.f2)):
-                proj = project_to_polynomial(f, box, p, h,
-                                             nodes_per_axis=nodes_per_axis)
-                fvals = np.asarray(
-                    f(eval_pts[:, 0] if d == 1 else eval_pts), dtype=float)
-                for x_pt, f_val in zip(eval_pts, fvals):
-                    bias = abs(proj(x_pt if d > 1 else x_pt[0]) - f_val)
-                    if bias > best:
-                        best = bias
-                        best_at = {"level": level, "arm": arm,
-                                   "x": tuple(x_pt), "bias": bias}
+                biases = _projection_biases(f, box, p, h, eval_pts,
+                                            nodes_per_axis)
+                i = int(np.argmax(biases))
+                if biases[i] > best:
+                    best = biases[i]
+                    best_at = {"level": level, "arm": arm,
+                               "x": tuple(eval_pts[i]), "bias": best}
         required = b * q ** (-level * beta)
         slack = best - required
         if slack < margin:
@@ -615,12 +577,9 @@ def projection_bias_constant(f, beta: float, p: int, q: float,
     for level in levels:
         h = q ** (-level)
         for box in qadic_boxes(d, q, level):
-            proj = project_to_polynomial(f, box, p, h, nodes_per_axis=nodes_per_axis)
             probes = box.midpoint_nodes(probe_per_axis)[0]
-            fvals = np.asarray(f(probes[:, 0] if d == 1 else probes), dtype=float)
-            for x_pt, f_val in zip(probes, fvals):
-                bias = abs(proj(x_pt if d > 1 else x_pt[0]) - f_val)
-                worst = max(worst, bias / h ** beta)
+            biases = _projection_biases(f, box, p, h, probes, nodes_per_axis)
+            worst = max(worst, np.max(biases / h ** beta))
     return worst
 
 

@@ -1,19 +1,10 @@
-"""Policy protocol, reference policies, and config-facing policy specs."""
+"""Reference policies and config-facing policy specs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
-
-
-class Policy(Protocol):
-    """Online two-armed contextual policy."""
-
-    def choose(self, x) -> int: ...
-
-    def update(self, x, arm: int, y: float) -> None: ...
 
 
 class FixedArmPolicy:

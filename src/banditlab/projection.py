@@ -71,8 +71,11 @@ class Box:
         return nodes, cell_vol
 
 
-def _eval_f(f, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f at (n, d) nodes, accepting scalar- or vector-aware f."""
+def eval_points(f, nodes: np.ndarray) -> np.ndarray:
+    """f at (n, d) nodes as an (n,) array, for scalar- or vector-aware f.
+
+    A d = 1 function is given its n points as a 1-D array.
+    """
     arg = nodes[:, 0] if nodes.shape[1] == 1 else nodes
     vals = np.asarray(f(arg), dtype=float)
     if vals.shape != (len(nodes),):
@@ -131,11 +134,11 @@ def project_to_polynomial(f, bin_box: Box, degree: int, bandwidth: float,
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     powers = enumerate_multi_indices(bin_box.d, degree)
     nodes, cell_vol = bin_box.midpoint_nodes(nodes_per_axis)
-    fv = _eval_f(f, nodes)
+    fv = eval_points(f, nodes)
     if density is None:
         w = np.float64(cell_vol)
     else:
-        w = _eval_f(density, nodes) * cell_vol
+        w = eval_points(density, nodes) * cell_vol
         if np.any(w <= 0):
             raise ValueError("density must be strictly positive on the bin")
 
@@ -164,8 +167,8 @@ def brute_force_projection(f, bin_box: Box, degree: int, bandwidth: float,
     n_axis = max(2, int(round(grid_n ** (1.0 / d))))
     powers = enumerate_multi_indices(d, degree)
     nodes, _ = bin_box.midpoint_nodes(n_axis)
-    fv = _eval_f(f, nodes)
-    dens = np.ones(len(nodes)) if density is None else _eval_f(density, nodes)
+    fv = eval_points(f, nodes)
+    dens = np.ones(len(nodes)) if density is None else eval_points(density, nodes)
 
     def g(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))

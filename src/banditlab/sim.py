@@ -75,7 +75,7 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int, rep: int = 0):
     Every policy run on that replication sees these same arrays.
     """
     X = rng.covariate_block(seed, rep, T, instance.d)
-    F = instance.payoffs(X[:, 0] if instance.d == 1 else X)
+    F = instance.payoffs(X)
     return X, F, _draw_rewards(instance, F, seed, rep, T)
 
 
@@ -103,7 +103,7 @@ def run_episode(instance: ProblemInstance, policy_spec, T: int, seed: int,
 
     actions = None
     if not force_sequential:
-        actions = fast.run_fast(policy, X, Y)
+        actions = fast.run_fast(policy, X, Y, F)
     if actions is None:
         actions = np.zeros(T, dtype=np.int8)
         for t in range(T):

@@ -270,8 +270,8 @@ def test_criterion_8_determinism(tmp_path):
     X = rng.covariate_block(5, 0, 30_000, 1)
     F = inst.payoffs(X[:, 0])
     Y = sim._draw_rewards(inst, F, 5, 0, 30_000)
-    a1 = fast.run_fast(spec.build(inst, 30_000), X, Y)
-    a2 = fast.run_fast(spec.build(inst, 30_000), X, Y)
+    a1 = fast.run_fast(spec.build(inst, 30_000), X, Y, F)
+    a2 = fast.run_fast(spec.build(inst, 30_000), X, Y, F)
     report("8 (determinism)", [
         ("rerun of identical config produces byte-identical results.csv",
          first == second),

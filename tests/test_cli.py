@@ -157,9 +157,11 @@ class TestRun:
         out = Path(json.loads(p.read_text())["output_dir"])
         assert not (out / "results.csv").exists()
 
-    # Each of these used to pass parsing: the horizons too short for the
+    # Each of these used to get past parsing: the horizons too short for the
     # policy failed mid-run (exit 3, partial results.csv), "abc" escaped as
-    # a ValueError traceback and 2500.5 ran silently at T = 2500.
+    # a ValueError traceback and 2500.5 ran silently at T = 2500.  A scalar
+    # sweep value escaped as a TypeError; a checkpoint_stride of "x" or 2.5
+    # failed mid-run (exit 1, partial results.csv) and -3 ran silently.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -168,8 +170,13 @@ class TestRun:
         ({"T": "abc"}, "T must be an integer"),
         ({"T": 2500.5}, "T must be an integer"),
         ({"reps": "two"}, "reps must be an integer"),
+        ({"sweep": {"T": 5}}, "sweep.T must be a list"),
+        ({"checkpoint_stride": "x"}, "checkpoint_stride must be an integer"),
+        ({"checkpoint_stride": 2.5}, "checkpoint_stride must be an integer"),
+        ({"checkpoint_stride": -3}, "checkpoint_stride must be an integer >= 1"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
-            "reps-not-a-number"])
+            "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
+            "stride-fractional", "stride-negative"])
     def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
                                                              over, match):
         p = small_config(tmp_path, **over)

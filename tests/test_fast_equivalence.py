@@ -17,7 +17,7 @@ def streams(instance, T, seed):
     X = rng.covariate_block(seed, 0, T, instance.d)
     F = instance.payoffs(X[:, 0] if instance.d == 1 else X)
     Y = sim._draw_rewards(instance, F, seed, 0, T)
-    return X, Y
+    return X, F, Y
 
 
 def sequential_actions(policy, X, Y):
@@ -87,7 +87,7 @@ CASES = [
 @pytest.mark.parametrize("seed", [3, 17])
 def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
     instance = make_instance(inst_spec, T)
-    X, Y = streams(instance, T, seed)
+    X, F, Y = streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
     abse_configs = []
     abse_actions = fast.abse_actions
@@ -97,7 +97,7 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
         return abse_actions(cfg, X, Y)
 
     monkeypatch.setattr(fast, "abse_actions", recording_abse_actions)
-    a_fast = fast.run_fast(fast_pol, X, Y)
+    a_fast = fast.run_fast(fast_pol, X, Y, F)
     assert a_fast is not None
     seq_pol = pspec.build(instance, T)
     a_seq = sequential_actions(seq_pol, X, Y)
@@ -115,9 +115,9 @@ def test_sacb_starved_stream_never_hands_off():
     pspec = PolicySpec("sacb", {"gamma": 1e9, "q": 1.5, "upsilon": 2.5,
                                 "beta_lo": 0.6, "beta_hi": 1.0})
     T = 2_000  # far too short to finish the round schedule
-    X, Y = streams(instance, T, 5)
+    X, F, Y = streams(instance, T, 5)
     fast_pol = pspec.build(instance, T)
-    a_fast = fast.run_fast(fast_pol, X, Y)
+    a_fast = fast.run_fast(fast_pol, X, Y, F)
     seq_pol = pspec.build(instance, T)
     a_seq = sequential_actions(seq_pol, X, Y)
     assert np.array_equal(a_fast, a_seq)
@@ -184,10 +184,10 @@ def engine_cases(draw):
 def test_engine_matches_sequential_fuzz(case):
     inst_spec, pspec, T, seed = case
     instance = make_instance(inst_spec, T)
-    X, Y = streams(instance, T, seed)
+    X, F, Y = streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
     with mock.patch.object(fast, "abse_actions", wraps=fast.abse_actions) as spy:
-        a_fast = fast.run_fast(fast_pol, X, Y)
+        a_fast = fast.run_fast(fast_pol, X, Y, F)
     seq_pol = pspec.build(instance, T)
     assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
     if pspec.kind == "sacb":

@@ -362,3 +362,37 @@ class TestMakeInstance:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_instance({"kind": "nope", "beta": 0.5}, 1000)
+
+
+LB = {"kind": "lower_bound", "alpha": 1.0, "delta": 0.2, "member": 1}
+
+
+class TestPointConvention:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "setting1", "beta": 0.9},
+        {"kind": "setting2", "beta": 0.5},
+        {"kind": "power", "beta": 0.6, "delta": 0.5},
+        {"kind": "example1", "beta": 0.5, "tilde_beta": 0.8, "part": 2},
+        dict(LB, beta=0.5, gamma=0.9, d=1),
+        dict(LB, beta=0.5, gamma=0.9, d=2),
+        dict(LB, beta=1.0, gamma=1.5, variant="at-least-lipschitz", d=1),
+        dict(LB, beta=1.0, gamma=1.5, variant="at-least-lipschitz", d=2),
+    ], ids=["setting1", "setting2", "power", "example1", "lower_bound-d1",
+            "lower_bound-d2", "lower_bound-least-d1", "lower_bound-least-d2"])
+    def test_arms_and_payoffs_follow_the_point_convention(self, spec):
+        inst = make_instance(spec, 200_000)
+        d = inst.d
+        assert d == spec.get("d", 1)
+        pts = np.random.default_rng(0).random((50, d))
+        for f in (inst.f1, inst.f2):
+            vals = f(pts)
+            assert vals.shape == (50,)
+            if d == 1:
+                assert isinstance(f(0.3), float)
+                assert f(0.3) == f(np.array([0.3]))[0]
+                assert np.array_equal(f(pts[:, 0]), vals)
+            else:
+                one = f(pts[3])
+                assert one.shape == (1,) and one[0] == vals[3]
+        assert np.array_equal(inst.payoffs(pts),
+                              np.stack([inst.f1(pts), inst.f2(pts)], axis=1))

@@ -28,6 +28,15 @@ class TestEpisode:
         assert tr.final_regret == 0.0
         assert tr.inferior_count == 0
 
+    def test_oracle_episode_evaluates_payoffs_once(self):
+        # The oracle takes its actions from the payoffs the episode drew.
+        inst = make_power_payoff(0.6, 1.0)
+        with mock.patch.object(ProblemInstance, "payoffs", autospec=True,
+                               side_effect=ProblemInstance.payoffs) as calls:
+            tr = run_episode(inst, PolicySpec("oracle", {}), 1000, seed=2)
+        assert calls.call_count == 1
+        assert tr.final_regret == 0.0
+
     def test_fixed_arm_regret_closed_form(self):
         # f1 - f2 = x - 1/2 on uniform covariates; always playing arm 1
         # loses int_0^(1/2) (1/2 - x) dx = 1/8 per step in expectation
