@@ -114,6 +114,17 @@ def parse_config(path_or_dict) -> dict:
                 for t in cfg["sweep"].get("T", [])]
     horizons = [t for t in horizons or [cfg["T"]] if t is not None]
 
+    # Build the instance at every (T, beta) a run uses, as _cells takes them.
+    if kind in INSTANCE_KINDS and "beta" in inst:
+        for T, beta in itertools.product(horizons, cfg["sweep"].get("beta")
+                                         or [inst["beta"]]):
+            try:
+                make_instance({**inst, "beta": beta}, T)
+            except KeyError as e:
+                problems.append(f"instance: {kind} needs {e}")
+            except (TypeError, ValueError, BanditLabError) as e:
+                problems.append(f"instance: {e}")
+
     policies = raw.get("policies") or []
     if not policies:
         problems.append("at least one policy is required")
@@ -202,39 +213,45 @@ def _cell_policies(cfg: dict, cell: dict):
     return specs, dedup_labels(specs)
 
 
-def _instance_spec(cfg: dict, cell: dict) -> dict:
-    spec = dict(cfg["instance"])
-    spec["beta"] = cell["beta"]
-    return spec
-
-
 def run(cfg: dict, out_dir: Path) -> list[dict]:
-    """Execute all cells; returns result rows and writes results.csv."""
+    """Execute the run plan; returns result rows and writes results.csv.
+
+    The cells that share an instance, (T, beta), run their distinct policy
+    specs (kind and sorted params, not labels) once, in one run_experiment.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
-    rows, manifest = [], []
+    cells, groups = [], {}       # groups: (T, beta) -> {spec key: spec}
+    for cell in _cells(cfg):
+        specs, labels = _cell_policies(cfg, cell)
+        keys = [(ps.kind, repr(sorted(ps.params.items()))) for ps in specs]
+        groups.setdefault((cell["T"], cell["beta"]), {}).update(zip(keys, specs))
+        cells.append((cell, keys, labels))
+    finished = {}                # (T, beta) -> {spec key: summary}
     try:
-        for cell_idx, cell in enumerate(_cells(cfg)):
-            specs, labels = _cell_policies(cfg, cell)
-            inst_spec = _instance_spec(cfg, cell)
+        for (T, beta), distinct in groups.items():
             summaries = run_experiment(
-                inst_spec, specs, cell["T"], cfg["reps"], cfg["base_seed"],
-                parallelism=cfg["threads"],
+                {**cfg["instance"], "beta": beta}, list(distinct.values()), T,
+                cfg["reps"], cfg["base_seed"], parallelism=cfg["threads"],
                 checkpoint_stride=cfg["checkpoint_stride"],
             )
-            ref_label = f"abse({cell['beta']})"
-            ref = summaries.get(ref_label)
-            for label in labels:
-                s = summaries[label]
+            finished[T, beta] = dict(zip(distinct, summaries.values()))
+    finally:
+        rows, manifest = [], []
+        for cell_idx, (cell, keys, labels) in enumerate(cells):
+            group = finished.get((cell["T"], cell["beta"]))
+            if group is None:
+                continue
+            summaries = {label: group[key] for key, label in zip(keys, labels)}
+            ref = summaries.get(f"abse({cell['beta']})")
+            for label, s in summaries.items():
                 rel = ((s.mean_regret - ref.mean_regret) / ref.mean_regret
                        if ref is not None and ref.mean_regret != 0 else None)
                 rows.append({
                     "config_hash": chash,
                     "instance": cfg["instance"]["kind"],
-                    "beta": cell["beta"],
-                    "tilde_beta": cell["tilde_beta"],
+                    **cell,                      # T, tilde_beta, beta
                     "policy": label,
-                    "T": cell["T"],
                     "reps": cfg["reps"],
                     "mean_regret": s.mean_regret,
                     "sd": s.sd,
@@ -246,14 +263,9 @@ def run(cfg: dict, out_dir: Path) -> list[dict]:
                 if cfg["traces"]:
                     _write_traces(out_dir, chash, cell_idx, label, s.traces)
             manifest.append({"cell": cell_idx, **cell, "status": "done"})
-    except Exception:
         _write_results(out_dir, rows)
         (out_dir / "manifest.json").write_text(
             json.dumps({"completed": manifest, "hash": chash}, indent=2))
-        raise
-    _write_results(out_dir, rows)
-    (out_dir / "manifest.json").write_text(
-        json.dumps({"completed": manifest, "hash": chash}, indent=2))
     (out_dir / "run_meta.json").write_text(json.dumps(
         {"version": __version__, "config_hash": chash, "config": cfg},
         indent=2, sort_keys=True))
@@ -422,6 +434,12 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
 
 
 def _cmd_run(cfg: dict, out_dir: Path, figures: list[str]) -> int:
+    # The sweep figure needs an axis: a tilde_beta, or two values of T or beta.
+    cells = list(_cells(cfg))
+    if "sweep" in figures and cells[0]["tilde_beta"] is None and all(
+            len({c[axis] for c in cells}) == 1 for axis in ("T", "beta")):
+        raise ValidationError("--figure sweep needs a sweep over tilde_beta, "
+                              "T or beta")
     rows = run(cfg, out_dir)
     for fig in figures:
         emit_plot_data(
@@ -431,7 +449,8 @@ def _cmd_run(cfg: dict, out_dir: Path, figures: list[str]) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    inst = make_instance(_instance_spec(cfg, next(_cells(cfg))), cfg["T"])
+    inst = make_instance({**cfg["instance"], "beta": next(_cells(cfg))["beta"]},
+                         cfg["T"])
     meta = inst.meta
     print(f"instance {inst.name} d={inst.d} noise={inst.noise}")
     reports = {}

@@ -135,13 +135,17 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
 
     tau, C and alpha are the setting's defaults (alpha None means 1/beta);
     overrides may replace them, and M = scale(tau) and the bump count m.
-    extra is added to meta.
+    extra is added to meta; its keys are the setting's own overrides.  Any
+    other override key is a ValueError.
     """
     if not (0 < beta <= 1):
         raise ValueError(f"beta must be in (0, 1], got {beta}")
     if T < 1000:
         raise ValueError(f"horizon too short for the construction, T={T}")
     ov = dict(overrides or {})
+    unknown = set(ov) - {"tau", "L1", "C", "alpha", "sigma", "M", "m", *extra}
+    if unknown:
+        raise ValueError(f"unknown {name} overrides {sorted(unknown)}")
     tau = ov.get("tau", tau)
     L1 = ov.get("L1", 1.0)
     C = ov.get("C", C)
@@ -390,21 +394,22 @@ def make_example1_family(beta: float, tilde_beta: float, T: int, part: int,
 def make_instance(spec: dict, T: int) -> ProblemInstance:
     """Build an instance from a declarative spec (CLI / worker entry point).
 
-    Recognized kinds: setting1, setting2, power, lower_bound, example1.
+    Recognized kinds: setting1, setting2, power, lower_bound, example1.  A
+    spec key the kind does not read is a ValueError.
     """
     spec = dict(spec)
     kind = spec.pop("kind")
     beta = float(spec.pop("beta"))
     if kind == "setting1":
-        return make_setting_one(beta, T, overrides=spec.pop("overrides", None))
-    if kind == "setting2":
-        return make_setting_two(beta, T, overrides=spec.pop("overrides", None))
-    if kind == "power":
+        inst = make_setting_one(beta, T, overrides=spec.pop("overrides", None))
+    elif kind == "setting2":
+        inst = make_setting_two(beta, T, overrides=spec.pop("overrides", None))
+    elif kind == "power":
         noise = spec.pop("noise", None)
         if noise is not None:
             noise = tuple(noise)
-        return make_power_payoff(beta, float(spec.pop("delta", 1.0)), noise=noise)
-    if kind == "lower_bound":
+        inst = make_power_payoff(beta, float(spec.pop("delta", 1.0)), noise=noise)
+    elif kind == "lower_bound":
         family = make_lower_bound_family(
             beta,
             float(spec.pop("gamma")),
@@ -416,11 +421,15 @@ def make_instance(spec: dict, T: int) -> ProblemInstance:
         member = int(spec.pop("member", 0))
         if not (0 <= member < len(family)):
             raise ValueError(f"member {member} outside family of {len(family)}")
-        return family[member]
-    if kind == "example1":
-        return make_example1_family(beta, float(spec.pop("tilde_beta")), T,
+        inst = family[member]
+    elif kind == "example1":
+        inst = make_example1_family(beta, float(spec.pop("tilde_beta")), T,
                                     int(spec.pop("part", 1)))
-    raise ValueError(f"unknown instance kind {kind!r}")
+    else:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    if spec:
+        raise ValueError(f"unknown {kind} instance keys {sorted(spec)}")
+    return inst
 
 
 # ---------------------------------------------------------------------------

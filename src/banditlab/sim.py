@@ -112,8 +112,8 @@ def run_episode(instance: ProblemInstance, policy_spec, T: int, seed: int,
             policy.update(x, arm, Y[t, arm - 1])
             actions[t] = arm
 
-    chosen = F[np.arange(T), actions - 1]
-    best = np.max(F, axis=1)
+    chosen = np.where(actions == 1, F[:, 0], F[:, 1])
+    best = np.maximum(F[:, 0], F[:, 1])
     step_regret = best - chosen
     cum_regret = np.cumsum(step_regret)
     cum_inferior = np.cumsum(chosen < best)
@@ -184,8 +184,8 @@ def run_experiment(instance_spec, policy_specs, T: int, reps: int,
 
     Replication r of every policy consumes the same covariate and noise
     streams (keyed by (base_seed, r)), so cross-policy comparisons are
-    paired.  Results are keyed by policy label and deterministic in content
-    regardless of parallelism.
+    paired.  Results are keyed by policy label, in the order of
+    policy_specs, and deterministic in content regardless of parallelism.
 
     instance_spec is either a ProblemInstance or a dict understood by
     `instances.make_instance` (required for process-based parallelism; a

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from banditlab import cli, sim
 from banditlab.cli import (
     RESULTS_HEADER,
     config_hash,
@@ -12,6 +13,7 @@ from banditlab.cli import (
     _cell_policies,
     _cells,
     _read_results,
+    run,
 )
 from banditlab.errors import ValidationError
 from banditlab.instances import make_instance
@@ -62,9 +64,9 @@ class TestParse:
 
     def test_library_and_cli_build_the_same_configs(self):
         T = 20_000
-        inst = make_instance({"kind": "setting1", "beta": 0.9,
-                              "overrides": {"M": 8.0}}, T)
-        cfg = parse_config(dict(MINIMAL, T=T, policies=[
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        inst = make_instance(spec, T)
+        cfg = parse_config(dict(MINIMAL, T=T, instance=spec, policies=[
             {"kind": "sacb"}, {"kind": "abse", "beta": 0.5}]))
         cli_specs, _ = _cell_policies(cfg, next(_cells(cfg)))
         lib_specs = [PolicySpec("sacb", {}), PolicySpec("abse", {"beta": 0.5})]
@@ -161,7 +163,11 @@ class TestRun:
     # policy failed mid-run (exit 3, partial results.csv), "abc" escaped as
     # a ValueError traceback and 2500.5 ran silently at T = 2500.  A scalar
     # sweep value escaped as a TypeError; a checkpoint_stride of "x" or 2.5
-    # failed mid-run (exit 1, partial results.csv) and -3 ran silently.
+    # failed mid-run (exit 1, partial results.csv) and -3 ran silently.  An
+    # instance that cannot be built (no bump fits setting1 at T = 2000, or
+    # beta out of range) failed mid-run (exit 3, header-only results.csv);
+    # an unknown instance or override key ran silently with the default,
+    # and a missing lower_bound key escaped as a KeyError traceback.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -174,9 +180,23 @@ class TestRun:
         ({"checkpoint_stride": "x"}, "checkpoint_stride must be an integer"),
         ({"checkpoint_stride": 2.5}, "checkpoint_stride must be an integer"),
         ({"checkpoint_stride": -3}, "checkpoint_stride must be an integer >= 1"),
+        ({"T": 2_000, "instance": {"kind": "setting1", "beta": 0.9}},
+         "instance: bump count"),
+        ({"instance": {"kind": "setting1", "beta": 1.5}},
+         r"instance: beta must be in \(0, 1\]"),
+        ({"sweep": {"beta": [0.9, 1.5]}}, r"instance: beta must be in \(0, 1\]"),
+        ({"instance": {"kind": "setting1", "beta": 0.9,
+                       "overrides": {"MM": 8.0}}},
+         r"instance: unknown setting1 overrides \['MM'\]"),
+        ({"instance": {"kind": "power", "beta": 0.6, "delt": 0.5}},
+         r"instance: unknown power instance keys \['delt'\]"),
+        ({"instance": {"kind": "lower_bound", "beta": 0.5, "alpha": 1.0,
+                       "delta": 0.2}}, "instance: lower_bound needs 'gamma'"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
-            "stride-fractional", "stride-negative"])
+            "stride-fractional", "stride-negative", "setting1-no-bumps",
+            "instance-beta-range", "sweep-beta-range", "unknown-override",
+            "unknown-instance-key", "missing-instance-key"])
     def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
                                                              over, match):
         p = small_config(tmp_path, **over)
@@ -186,15 +206,86 @@ class TestRun:
         out = Path(json.loads(p.read_text())["output_dir"])
         assert not (out / "results.csv").exists()
 
-    def test_runtime_failure_exit_code_and_manifest(self, tmp_path):
-        # valid config whose instance construction degenerates at runtime:
-        # setting1 at a horizon where no bump fits
-        p = small_config(tmp_path, T=2_000,
-                         instance={"kind": "setting1", "beta": 0.9})
+
+class TestPlan:
+    def test_each_distinct_episode_runs_once(self, tmp_path, monkeypatch):
+        # In the tilde_beta = 0.9 cell the anonymous abse is the named
+        # abse(0.9): two cells of two policies at two reps are 4 distinct
+        # episodes, where a run per cell makes 8.
+        p = small_config(tmp_path, T=5_000, sweep={"tilde_beta": [0.5, 0.9]},
+                         policies=[{"kind": "abse"}, {"kind": "abse", "beta": 0.9}])
+        experiments, episodes = [], []
+        run_experiment, run_episode = cli.run_experiment, sim.run_episode
+
+        def count_experiment(*args, **kwargs):
+            experiments.append(args)
+            return run_experiment(*args, **kwargs)
+
+        def count_episode(instance, spec, T, seed, **kwargs):
+            episodes.append((spec.kind, repr(sorted(spec.params.items())),
+                             kwargs["rep"]))
+            return run_episode(instance, spec, T, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", count_experiment)
+        monkeypatch.setattr(sim, "run_episode", count_episode)
+        assert main(["run", "--config", str(p)]) == 0
+        assert len(experiments) == 1
+        assert len(episodes) == 4 and len(set(episodes)) == 4
+
+    def test_cells_match_their_own_experiments(self, tmp_path):
+        inst = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        cfg = parse_config(json.loads(small_config(
+            tmp_path, sweep={"T": [5_000, 8_000], "beta": [0.5, 0.9],
+                             "tilde_beta": [0.5, 0.9]},
+            instance=inst,
+            policies=[{"kind": "sacb", "gamma": 0.3, "q": 1.4, "upsilon": 1.5,
+                       "beta_lo": 0.5, "beta_hi": 1.0},
+                      {"kind": "abse", "beta": 0.9}, {"kind": "abse"}],
+        ).read_text()))
+        rows = run(cfg, tmp_path / "plan")
+        expected = []
+        for cell in _cells(cfg):
+            specs, labels = _cell_policies(cfg, cell)
+            alone = sim.run_experiment(dict(inst, beta=cell["beta"]), specs,
+                                       cell["T"], cfg["reps"], cfg["base_seed"])
+            for label in labels:
+                s = alone[label]
+                expected.append((cell["T"], cell["beta"], cell["tilde_beta"],
+                                 label, s.mean_regret, s.sd, s.ci95,
+                                 s.mean_t_sacb, s.mean_beta_hat))
+        assert len(expected) == 24
+        assert [(r["T"], r["beta"], r["tilde_beta"], r["policy"],
+                 r["mean_regret"], r["sd"], r["ci95"], r["mean_t_sacb"],
+                 r["mean_beta_hat"]) for r in rows] == expected
+
+    def test_failed_run_keeps_the_finished_groups(self, tmp_path, monkeypatch):
+        # Cells alternate between beta 0.5 and 0.9, so the first group,
+        # beta 0.5, is cells 0 and 2.
+        over = dict(T=5_000, sweep={"beta": [0.5, 0.9], "tilde_beta": [0.5, 0.9]},
+                    policies=[{"kind": "abse", "beta": 0.9}, {"kind": "abse"}])
+        full = small_config(tmp_path, **over, output_dir=str(tmp_path / "full"))
+        assert main(["run", "--config", str(full)]) == 0
+        full_rows = _read_results(tmp_path / "full" / "results.csv")
+        p = small_config(tmp_path, **over, output_dir=str(tmp_path / "failed"))
+        run_experiment, calls = cli.run_experiment, []
+
+        def second_group_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("second group fails")
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", second_group_fails)
         assert main(["run", "--config", str(p)]) == 3
-        out = Path(json.loads(p.read_text())["output_dir"])
-        assert (out / "manifest.json").exists()
-        assert (out / "results.csv").exists()
+        out = tmp_path / "failed"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(c["cell"], c["beta"], c["tilde_beta"])
+                for c in manifest["completed"]] == [(0, 0.5, 0.5), (2, 0.5, 0.9)]
+        rows = _read_results(out / "results.csv")
+        assert len(rows) == 4
+        assert [{k: v for k, v in r.items() if k != "config_hash"} for r in rows] == [
+            {k: v for k, v in r.items() if k != "config_hash"}
+            for r in full_rows if r["beta"] == "0.5"]
 
 
 class TestSweepAndPlot:
@@ -213,6 +304,12 @@ class TestSweepAndPlot:
         assert svg.exists() and svg.read_text().startswith("<svg")
         header = curves[0].read_text().splitlines()[1]
         assert header == "x,mean,ci_lo,ci_hi"
+
+    def test_sweep_figure_without_sweep_exits_2_before_running(self, tmp_path):
+        p = small_config(tmp_path, T=5_000)
+        assert main(["run", "--config", str(p), "--figure", "sweep"]) == 2
+        out = Path(json.loads(p.read_text())["output_dir"])
+        assert not (out / "results.csv").exists()
 
     def test_table_emission(self, tmp_path):
         p = small_config(tmp_path, T=10_000)
