@@ -359,9 +359,8 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
     published units (divided by 1e4 for setting1, 1e3 for setting2), plus
     the relative-loss matrix recomputed from the regret matrix.
     """
-    pdir = out_dir / "plotdata"
-    pdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    # Check the figure before creating plotdata/, so a refused figure
+    # leaves nothing behind.
     if figure_kind == "sweep":
         for axis in ("tilde_beta", "T", "beta"):
             if len({r[axis] for r in rows if r[axis] != ""}) > 1:
@@ -370,6 +369,12 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
             axis = "tilde_beta"
         if all(r[axis] == "" for r in rows):
             raise ValidationError(f"missing sweep axis values for {axis}")
+    elif figure_kind != "table":
+        raise ValidationError(f"unknown figure kind {figure_kind!r}")
+    pdir = out_dir / "plotdata"
+    pdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    if figure_kind == "sweep":
         curves = {}
         for r in rows:
             if r[axis] == "":
@@ -389,44 +394,42 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
         _svg_chart(curves, svg, axis)
         written.append(svg)
         return written
-    if figure_kind == "table":
-        inst = rows[0]["instance"] if rows else ""
-        unit = 1e4 if inst == "setting1" else 1e3 if inst == "setting2" else 1.0
-        betas = sorted({r["beta"] for r in rows}, key=float)
-        by_key = {}
-        for r in rows:
-            key = (r["beta"], r["policy"], r["tilde_beta"])
-            by_key[key] = r
-        # one matrix column per (policy, tilde_beta) combination
-        col_keys = list(dict.fromkeys((r["policy"], r["tilde_beta"]) for r in rows))
-        header = "beta," + ",".join(pol for pol, _ in col_keys)
-        matrix = [f"# banditlab {version} (regret / {fmt(unit)})", header]
-        rl_rows = [f"# banditlab {version}", header]
-        for b in betas:
-            vals, rls = [], []
-            ref = None
-            for pol, tb in col_keys:
-                r = by_key.get((b, pol, tb))
-                if r and r["policy"] == f"abse({b})":
-                    ref = float(r["mean_regret"])
-            for pk in col_keys:
-                r = by_key.get((b,) + pk)
-                if r is None:
-                    vals.append("")
-                    rls.append("")
-                    continue
-                m = float(r["mean_regret"])
-                vals.append(fmt(m / unit))
-                rls.append(fmt((m - ref) / ref) if ref else "")
-            matrix.append(f"{b}," + ",".join(vals))
-            rl_rows.append(f"{b}," + ",".join(rls))
-        f1 = pdir / "regret_matrix.csv"
-        f1.write_text("\n".join(matrix) + "\n")
-        f2 = pdir / "relative_loss.csv"
-        f2.write_text("\n".join(rl_rows) + "\n")
-        written.extend([f1, f2])
-        return written
-    raise ValidationError(f"unknown figure kind {figure_kind!r}")
+    inst = rows[0]["instance"] if rows else ""
+    unit = 1e4 if inst == "setting1" else 1e3 if inst == "setting2" else 1.0
+    betas = sorted({r["beta"] for r in rows}, key=float)
+    by_key = {}
+    for r in rows:
+        key = (r["beta"], r["policy"], r["tilde_beta"])
+        by_key[key] = r
+    # one matrix column per (policy, tilde_beta) combination
+    col_keys = list(dict.fromkeys((r["policy"], r["tilde_beta"]) for r in rows))
+    header = "beta," + ",".join(pol for pol, _ in col_keys)
+    matrix = [f"# banditlab {version} (regret / {fmt(unit)})", header]
+    rl_rows = [f"# banditlab {version}", header]
+    for b in betas:
+        vals, rls = [], []
+        ref = None
+        for pol, tb in col_keys:
+            r = by_key.get((b, pol, tb))
+            if r and r["policy"] == f"abse({b})":
+                ref = float(r["mean_regret"])
+        for pk in col_keys:
+            r = by_key.get((b,) + pk)
+            if r is None:
+                vals.append("")
+                rls.append("")
+                continue
+            m = float(r["mean_regret"])
+            vals.append(fmt(m / unit))
+            rls.append(fmt((m - ref) / ref) if ref else "")
+        matrix.append(f"{b}," + ",".join(vals))
+        rl_rows.append(f"{b}," + ",".join(rls))
+    f1 = pdir / "regret_matrix.csv"
+    f1.write_text("\n".join(matrix) + "\n")
+    f2 = pdir / "relative_loss.csv"
+    f2.write_text("\n".join(rl_rows) + "\n")
+    written.extend([f1, f2])
+    return written
 
 
 # ---------------------------------------------------------------------------

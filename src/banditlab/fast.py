@@ -10,6 +10,18 @@ same action sequence as the sequential policies in `abse.py` / `sacb.py`
 (verified in tests/test_fast_equivalence.py).  The engines call those
 modules' rules (cell_coords, lifetime, radius, round_fires,
 handoff_config) rather than restating them.
+
+ABSE is replayed from one leaf-sorted index instead of routing arrivals
+down the tree.  A stable sort of the arrivals by their depth-k0 cell puts
+each leaf's arrivals in one contiguous, time-ordered run, and every node
+owns a block of consecutive runs.  A node tests only the arrivals its
+elimination test uses, the first 2 * lifetime of its cell from its start
+time on, and its children start after the last of them; so each arrival
+is tested by at most one node.  Arrivals past an elimination or a commit
+are written by one scatter at the end.  The cost is one sort of n small
+integers plus the tested arrivals (and, for a node of several runs, the
+at most 2 * lifetime candidates per run it merges them from), and the
+per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
 """
 
 from __future__ import annotations
@@ -30,47 +42,108 @@ def _fill_alternation(actions: np.ndarray, idx: np.ndarray) -> None:
     actions[idx[1::2]] = 2
 
 
+def _leaf_codes(X: np.ndarray, k0: int) -> np.ndarray:
+    """Index of each point's depth-k0 cell in depth-first tree order.
+
+    In d >= 2 the axes' cell bits are interleaved (a Morton code), axis 0
+    most significant, as AbsePolicy orders a split's children; so the
+    leaves of any cell at any depth form one contiguous block.
+    """
+    coords = cell_coords(X, 1 << k0)
+    if coords.shape[1] == 1:
+        return coords[:, 0]
+    code = np.zeros(len(X), dtype=np.int64)
+    for bit in range(k0 - 1, -1, -1):
+        for col in coords.T:
+            code = 2 * code + ((col >> bit) & 1)
+    return code
+
+
 def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Action sequence of ABSE on a pre-drawn (X, Y) stream.
 
     X has shape (n, d); Y has shape (n, 2) holding the reward each arm
     would give at step t.  Returns int8 actions in {1, 2}.
+
+    Leaf-run replay: after a stable sort by depth-k0 cell, a node at depth
+    k owns 2^(d (k0 - k)) consecutive leaf runs, and the arrivals it has
+    not yet seen are a suffix of each, starting at its run heads.  Its
+    first 2 * lifetime arrivals are among the first 2 * lifetime of each
+    run; merged by time, they feed the node's own cumsum, as AbsePolicy's
+    reward sums do.  The node then ends in an elimination or a commit,
+    whose arm is recorded for the rest of its runs, or passes each child
+    its block of run heads, advanced past the arrivals it tested.  The
+    cost is one sort (numpy's radix sort while 2^(d k0) <= 2^16) plus the
+    tested arrivals and their merge candidates; the per-leaf tables hold
+    2^(d k0) entries.
     """
     n = len(X)
-    actions = np.zeros(n, dtype=np.int8)
     k0 = max_depth(cfg)
-    stack = [(0, np.arange(n, dtype=np.int64))]
+    n_leaves = 1 << (cfg.d * k0)
+    leaf = _leaf_codes(X, k0).astype(np.min_scalar_type(n_leaves - 1))
+    order = np.argsort(leaf, kind="stable")
+    size = np.bincount(leaf, minlength=n_leaves)
+    run_end = size.cumsum()
+    run_start = run_end - size
+    # Each depth's rules: pairs per lifetime, and the radius after
+    # s = 1, 2, ..., lifetime pairs (no node sees more than n / 2 pairs).
+    life = [lifetime(cfg, k) for k in range(k0 + 1)]
+    pairs = [np.arange(1, min(lf, n // 2) + 1, dtype=np.float64) for lf in life]
+    eps = [radius(cfg, k, s) for k, s in enumerate(pairs)]
+    reward = Y[:, 0], Y[:, 1]
+    # Per leaf run: where its eliminated or committed suffix begins (the
+    # run end while it has none) and the arm that suffix plays.
+    tail_start = run_end.copy()
+    tail_arm = np.zeros(n_leaves, dtype=np.int8)
+    played = np.zeros(n, dtype=np.int8)      # indexed by sorted position
+    stack = [(0, 0, run_start)]              # (depth, first leaf, run heads)
     while stack:
-        depth, idx = stack.pop()
-        life = lifetime(cfg, depth)
-        s = np.arange(1, min(life, len(idx) // 2) + 1, dtype=np.float64)
-        y1 = Y[idx[0:2 * len(s):2], 0]
-        y2 = Y[idx[1:2 * len(s):2], 1]
-        diff = (np.cumsum(y1) - np.cumsum(y2)) / s
-        fire = np.abs(diff) > radius(cfg, depth, s)
-        hit = int(np.argmax(fire)) if fire.any() else None
-        # Alternate until the first elimination or the end of the lifetime.
-        cut = 2 * life if hit is None else 2 * (hit + 1)
-        _fill_alternation(actions, idx[:cut])
-        rest = idx[cut:]
-        if hit is not None:
-            actions[rest] = 1 if diff[hit] > 0 else 2
-        elif len(rest) == 0:
-            continue
-        elif depth == k0:
-            # Lifetime over at the deepest level: commit to the arm with the
-            # larger reward sum, arm 1 on a tie, as AbsePolicy does.
-            actions[rest] = 1 if diff[-1] >= 0 else 2
+        depth, first, head = stack.pop()
+        runs = len(head)
+        end = run_end[first:first + runs]
+        m = 2 * life[depth]
+        if runs == 1:
+            pos = np.arange(head[0], min(head[0] + m, end[0]))
+            idx = order[pos]
         else:
-            # Split: route the remaining arrivals to the 2^d children by
-            # their offsets (child cell mod 2) along each axis.
-            code = 0
-            for col in X.T:
-                code = 2 * code + (cell_coords(col[rest], 2 << depth) & 1)
-            for c in range(1 << cfg.d):
-                sub = rest[code == c]
-                if len(sub):
-                    stack.append((depth + 1, sub))
+            take = np.minimum(end - head, m)
+            which = np.repeat(np.arange(runs), take)
+            pos = np.arange(len(which)) + np.repeat(head - take.cumsum() + take, take)
+            idx = order[pos]
+            first_m = idx.argsort(kind="stable")[:m]
+            pos, which, idx = pos[first_m], which[first_m], idx[first_m]
+        p = len(idx) // 2
+        diff = (reward[0][idx[0:2 * p:2]].cumsum()
+                - reward[1][idx[1:2 * p:2]].cumsum()) / pairs[depth][:p]
+        fire = np.abs(diff) > eps[depth][:p]
+        hit = int(fire.argmax()) if fire.any() else None
+        if hit is None and len(idx) < m:
+            _fill_alternation(played, pos)  # the stream ends inside the lifetime
+            continue
+        # Alternate until the first elimination or the end of the lifetime.
+        cut = m if hit is None else 2 * (hit + 1)
+        _fill_alternation(played, pos[:cut])
+        rest = head + (cut if runs == 1 else np.bincount(which[:cut], minlength=runs))
+        if hit is not None or depth == k0:
+            # Eliminate the trailing arm, or, when the lifetime ends at the
+            # deepest level, commit to the arm with the larger reward sum,
+            # arm 1 on a tie, as AbsePolicy does.  (An eliminating gap
+            # exceeds a positive radius, so it is never 0.)
+            gap = diff[-1 if hit is None else hit]
+            tail_start[first:first + runs] = rest
+            tail_arm[first:first + runs] = 1 if gap >= 0 else 2
+            continue
+        # Split: child c owns the c-th block of the node's leaf runs.
+        width = runs >> cfg.d
+        alive = (end > rest).reshape(-1, width).any(axis=1)
+        for c in np.flatnonzero(alive):
+            stack.append((depth + 1, first + c * width, rest[c * width:(c + 1) * width]))
+    # Each leaf run: tested arrivals up to tail_start, then tail_arm's suffix.
+    seg = np.stack([tail_start - run_start, run_end - tail_start], axis=1).ravel()
+    arm = np.stack([np.zeros_like(tail_arm), tail_arm], axis=1).ravel()
+    played += np.repeat(arm, seg)
+    actions = np.empty(n, dtype=np.int8)
+    actions[order] = played
     return actions
 
 

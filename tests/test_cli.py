@@ -311,6 +311,15 @@ class TestSweepAndPlot:
         out = Path(json.loads(p.read_text())["output_dir"])
         assert not (out / "results.csv").exists()
 
+    def test_plot_without_sweep_axis_exits_2_and_writes_nothing(self, tmp_path):
+        p = small_config(tmp_path, T=5_000, reps=1,
+                         policies=[{"kind": "abse", "beta": 0.9}])
+        assert main(["run", "--config", str(p)]) == 0
+        out = Path(json.loads(p.read_text())["output_dir"])
+        # The default figure is the sweep, and this results.csv has no axis.
+        assert main(["plot", "--config", str(p)]) == 2
+        assert not (out / "plotdata").exists()
+
     def test_table_emission(self, tmp_path):
         p = small_config(tmp_path, T=10_000)
         main(["run", "--config", str(p), "--figure", "table"])

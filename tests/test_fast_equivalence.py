@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from banditlab import fast, rng
+from banditlab import fast
+from banditlab.abse import AbseConfig, AbsePolicy, max_depth
 from banditlab.instances import make_instance, make_power_payoff
 from banditlab.partition import cells_per_axis, sacb_levels
 from banditlab.policies import PolicySpec
 import banditlab.sim as sim
-
-
-def streams(instance, T, seed):
-    X = rng.covariate_block(seed, 0, T, instance.d)
-    F = instance.payoffs(X[:, 0] if instance.d == 1 else X)
-    Y = sim._draw_rewards(instance, F, seed, 0, T)
-    return X, F, Y
 
 
 def sequential_actions(policy, X, Y):
@@ -81,13 +75,19 @@ CASES = [
       "delta": 0.25, "member": 1, "d": 2},
      PolicySpec("abse", {"beta": 0.75, "c0": 4.0, "gamma_abse": 1.0}), 5_000),
 ]
+# A deep tree (k0 = 9, reached) with eliminations at several depths above
+# k0: its shallow nodes merge up to 2^9 leaf runs and its eliminations cut
+# runs at many depths.  The test checks that the case keeps doing so.
+DEEP_ABSE = ({"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}},
+             PolicySpec("abse", {"beta": 0.15, "gamma_abse": 0.25}), 20_000)
+CASES.append(DEEP_ABSE)
 
 
 @pytest.mark.parametrize("inst_spec,pspec,T", CASES)
 @pytest.mark.parametrize("seed", [3, 17])
 def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
     instance = make_instance(inst_spec, T)
-    X, F, Y = streams(instance, T, seed)
+    X, F, Y = sim.draw_streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
     abse_configs = []
     abse_actions = fast.abse_actions
@@ -108,6 +108,38 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
         assert fast_pol.beta_hat_raw == seq_pol.beta_hat_raw
         assert fast_pol.beta_hat == seq_pol.beta_hat
         assert abse_configs == [seq_pol.handoff.config]
+    if (inst_spec, pspec, T) == DEEP_ABSE:
+        eliminated = {k for (k, _), b in seq_pol.bins.items()
+                      if b.committed and k < seq_pol.k0}
+        assert seq_pol.k0 >= 8
+        assert max(k for k, _ in seq_pol.bins) == seq_pol.k0
+        assert len(eliminated) >= 3
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_abse_engine_on_cell_edges(d):
+    """Covariates at 0, 1 and the dyadic edges j / 2^k, where cells meet.
+
+    cell_coords puts j / 2^k in cell j and x = 1 in the last cell; the
+    leaf-run index must then hand each such arrival to the same bin as
+    AbsePolicy does, at every depth.
+    """
+    T = 4_000
+    cfg = AbseConfig(beta=0.5, T=T, d=d, gamma_abse=0.5)
+    k0 = max_depth(cfg)
+    g = np.random.default_rng(11)
+    edges = np.unique(np.concatenate(
+        [np.arange(2 ** k + 1) / 2 ** k for k in range(k0 + 2)]))
+    X = np.where(g.random((T, d)) < 0.5, g.choice(edges, size=(T, d)),
+                 g.random((T, d)))
+    X[:4] = [[0.0] * d, [1.0] * d, [0.5] * d, [0.0] * (d - 1) + [1.0]]
+    # Bernoulli rewards whose better arm flips at x_0 = 1/2.
+    mean = np.where(X[:, :1] < 0.5, [0.8, 0.3], [0.35, 0.7])
+    Y = (g.random((T, 2)) < mean).astype(np.float64)
+    seq_pol = AbsePolicy(cfg)
+    a_seq = sequential_actions(seq_pol, X, Y)
+    assert max(k for k, _ in seq_pol.bins) == k0
+    assert np.array_equal(fast.abse_actions(cfg, X, Y), a_seq)
 
 
 def test_sacb_starved_stream_never_hands_off():
@@ -115,7 +147,7 @@ def test_sacb_starved_stream_never_hands_off():
     pspec = PolicySpec("sacb", {"gamma": 1e9, "q": 1.5, "upsilon": 2.5,
                                 "beta_lo": 0.6, "beta_hi": 1.0})
     T = 2_000  # far too short to finish the round schedule
-    X, F, Y = streams(instance, T, 5)
+    X, F, Y = sim.draw_streams(instance, T, 5)
     fast_pol = pspec.build(instance, T)
     a_fast = fast.run_fast(fast_pol, X, Y, F)
     seq_pol = pspec.build(instance, T)
@@ -184,7 +216,7 @@ def engine_cases(draw):
 def test_engine_matches_sequential_fuzz(case):
     inst_spec, pspec, T, seed = case
     instance = make_instance(inst_spec, T)
-    X, F, Y = streams(instance, T, seed)
+    X, F, Y = sim.draw_streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
     with mock.patch.object(fast, "abse_actions", wraps=fast.abse_actions) as spy:
         a_fast = fast.run_fast(fast_pol, X, Y, F)
