@@ -23,7 +23,6 @@ from .errors import (
 )
 from .locpoly import (
     PolynomialEstimate,
-    Sample,
     enumerate_multi_indices,
     fit_local_polynomial,
     window_fits,

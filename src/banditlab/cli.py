@@ -493,31 +493,24 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=["run", "verify", "levels", "plot"])
     ap.add_argument("--config", required=True, help="path to JSON config")
     ap.add_argument("--out", default=None, help="output directory override")
-    ap.add_argument("--seed", type=int, default=None, help="base seed override")
-    ap.add_argument("--reps", type=int, default=None, help="replication override")
-    ap.add_argument("--threads", type=int, default=None, help="worker override")
-    ap.add_argument("--traces", action="store_true", help="write per-rep traces")
+    ap.add_argument("--seed", dest="base_seed", type=int, help="base seed override")
+    ap.add_argument("--reps", type=int, help="replication override")
+    ap.add_argument("--threads", type=int, help="worker override")
+    ap.add_argument("--traces", action="store_true", default=None,
+                    help="write per-rep traces")
     ap.add_argument("--figure", action="append", default=[],
                     choices=["sweep", "table"], help="figures to emit")
     args = ap.parse_args(argv)
 
+    # Flags override the file's values and get the same checks.
+    flags = {key: getattr(args, key)
+             for key in ("base_seed", "reps", "threads", "traces")
+             if getattr(args, key) is not None}
     try:
         cfg = parse_config(args.config)
-    except ValidationError as e:
-        for p in e.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    if args.reps is not None:
-        cfg["reps"] = args.reps
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    if args.traces:
-        cfg["traces"] = True
-    out_dir = Path(args.out or cfg["output_dir"])
-
-    try:
+        if flags:
+            cfg = parse_config({**cfg, **flags})
+        out_dir = Path(args.out or cfg["output_dir"])
         if args.command == "run":
             return _cmd_run(cfg, out_dir, args.figure)
         if args.command == "verify":

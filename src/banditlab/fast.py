@@ -188,8 +188,8 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     return actions
 
 
-def run_fast(policy, X: np.ndarray, Y: np.ndarray, F: np.ndarray):
-    """Dispatch to a vectorized engine; None when no engine exists.
+def run_fast(policy, X: np.ndarray, Y: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Actions of a policy built by PolicySpec.build, on its engine.
 
     F holds the payoffs at X, shape (n, 2); only the oracle reads it.
     """
@@ -199,6 +199,4 @@ def run_fast(policy, X: np.ndarray, Y: np.ndarray, F: np.ndarray):
         return np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)
     if isinstance(policy, AbsePolicy):
         return abse_actions(policy.config, X, Y)
-    if isinstance(policy, SacbPolicy):
-        return sacb_actions(policy, X, Y)
-    return None
+    return sacb_actions(policy, X, Y)

@@ -490,8 +490,8 @@ def check_holder(instance, beta: float, L: float, grid_n: int = 200,
             margin = float(slack[idx])
             worst = {
                 "arm": arm_name,
-                "x": tuple(pts[idx[0]]),
-                "x_prime": tuple(pts[idx[1]]),
+                "x": tuple(pts[idx[0]].tolist()),
+                "x_prime": tuple(pts[idx[1]].tolist()),
                 "deviation": float(diff[idx]),
                 "bound": float(L * dist[idx] ** beta),
             }
@@ -564,9 +564,9 @@ def check_self_similarity(instance: ProblemInstance, beta: float, b: float,
                                             nodes_per_axis)
                 i = int(np.argmax(biases))
                 if biases[i] > best:
-                    best = biases[i]
+                    best = float(biases[i])
                     best_at = {"level": level, "arm": arm,
-                               "x": tuple(eval_pts[i]), "bias": best}
+                               "x": tuple(eval_pts[i].tolist()), "bias": best}
         required = b * q ** (-level * beta)
         slack = best - required
         if slack < margin:

@@ -23,20 +23,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
 # Smallest eigenvalue below RIDGE_TOL times the largest |entry| means a
 # non-unique minimizer; scale-free so huge or tiny bandwidths behave alike.
 SINGULARITY_TOL = 1e-10
-
-
-class Sample(NamedTuple):
-    """One (covariate, reward) observation with x in [0,1]^d."""
-
-    x: tuple
-    y: float
 
 
 def floor_strict(beta: float) -> int:
@@ -60,7 +52,7 @@ def enumerate_multi_indices(d: int, p: int) -> list[tuple[int, ...]]:
 
 
 def _as_xy_arrays(data, d_hint=None):
-    """Accept a list of Sample/(x, y) pairs or an (X, y) array pair."""
+    """Accept a list of (x, y) pairs or an (X, y) array pair."""
     if isinstance(data, tuple) and len(data) == 2 and hasattr(data[0], "ndim"):
         X = np.asarray(data[0], dtype=float)
         y = np.asarray(data[1], dtype=float)

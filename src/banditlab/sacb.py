@@ -81,14 +81,13 @@ def test_threshold(gamma: float, T: int, d: int, beta_lo: float, q: float,
 
 
 class _BinState:
-    __slots__ = ("r", "counts", "buffers", "fired", "r_last")
+    __slots__ = ("r", "counts", "buffers", "r_last")
 
     def __init__(self):
         self.r = 1
         self.counts = [0, 0]
         self.buffers = ([], [])      # current round, one (x, y) list per arm
-        self.fired = False
-        self.r_last = None
+        self.r_last = None           # the round the test fired in, if any
 
 
 class SacbPolicy:
@@ -138,24 +137,21 @@ class SacbPolicy:
 
         need = 2 * round_samples(self.config.q, st.r)
         if st.counts[0] + st.counts[1] >= need and st.r <= self.levels.r_bar:
-            if not st.fired and self.hypothesis_test(bin_id):
-                st.r_last = st.r
-                st.fired = True
+            if st.r_last is None:
+                # Alternation ends the round with need / 2 >= 1 samples per arm.
+                arms = [(np.stack([rec[0] for rec in buf]),
+                         np.array([rec[1] for rec in buf])) for buf in st.buffers]
+                if self.round_fires(bin_id, st.r, arms):
+                    st.r_last = st.r
             st.r += 1
             st.counts = [0, 0]
             st.buffers = ([], [])
 
-        if all(s.fired or s.r > self.levels.r_bar for s in self.state.values()):
+        if all(s.r_last is not None or s.r > self.levels.r_bar
+               for s in self.state.values()):
             self.handoff = AbsePolicy(self.handoff_config(self.t))
 
     # -- estimation subroutine -------------------------------------------------
-
-    def hypothesis_test(self, bin_id) -> bool:
-        """Compare coarse and fine fits of the current round's buffers."""
-        st = self.state[bin_id]
-        arms = [(np.stack([rec[0] for rec in buf]), np.array([rec[1] for rec in buf]))
-                for buf in st.buffers if buf]
-        return self.round_fires(bin_id, st.r, arms)
 
     def round_fires(self, bin_id, r: int, arms) -> bool:
         """Whether round r's test fires in this bin.

@@ -5,14 +5,15 @@ covariates and per-(t, arm) reward noise are pre-drawn from counter-based
 streams (see rng.py), so replaying a configuration is bit-exact and two
 policies compared at the same (seed, rep) see identical covariates and
 identical counterfactual rewards (paired comparisons / common random
-numbers).
+numbers).  Every episode runs on the vectorized engine of its policy
+(`fast.run_fast`); the sequential policies are the reference those
+engines are tested against.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,6 @@ class RegretTrace:
 class ExperimentSummary:
     """Aggregate over replications of one policy on one instance."""
 
-    policy: str
     reps: int
     mean_regret: float
     sd: float
@@ -79,38 +79,22 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int, rep: int = 0):
     return X, F, _draw_rewards(instance, F, seed, rep, T)
 
 
-def run_episode(instance: ProblemInstance, policy_spec, T: int, seed: int,
-                checkpoint_stride: int | None = None, rep: int = 0,
-                force_sequential: bool = False, streams=None) -> RegretTrace:
-    """One seeded episode; returns the regret trace.
+def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
+                seed: int, checkpoint_stride: int | None = None, rep: int = 0,
+                streams=None) -> RegretTrace:
+    """One seeded episode of policy_spec; returns the regret trace.
 
-    policy_spec may be a PolicySpec or a live policy object.  Either way
-    the episode runs on the vectorized engine for the policy's class when
-    `fast.run_fast` has one, and step by step otherwise;
-    force_sequential=True always runs it step by step.  streams, if given,
-    is draw_streams(instance, T, seed, rep), drawn once and shared by the
-    policies of a replication; the arrays are only read.
+    The episode runs on the vectorized engine of the policy the spec
+    builds.  streams, if given, is draw_streams(instance, T, seed, rep),
+    drawn once and shared by the policies of a replication; the arrays are
+    only read.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
     X, F, Y = streams or draw_streams(instance, T, seed, rep)
-
-    if isinstance(policy_spec, PolicySpec):
-        policy = policy_spec.build(instance, T)
-    else:
-        policy = policy_spec
-
-    actions = None
-    if not force_sequential:
-        actions = fast.run_fast(policy, X, Y, F)
-    if actions is None:
-        actions = np.zeros(T, dtype=np.int8)
-        for t in range(T):
-            x = X[t]
-            arm = policy.choose(x)
-            policy.update(x, arm, Y[t, arm - 1])
-            actions[t] = arm
+    policy = policy_spec.build(instance, T)
+    actions = fast.run_fast(policy, X, Y, F)
 
     chosen = np.where(actions == 1, F[:, 0], F[:, 1])
     best = np.maximum(F[:, 0], F[:, 1])
@@ -135,7 +119,7 @@ def run_episode(instance: ProblemInstance, policy_spec, T: int, seed: int,
     )
 
 
-def summarize(traces, policy_label: str = "") -> ExperimentSummary:
+def summarize(traces) -> ExperimentSummary:
     """Mean / sd / normal 95% CI of final regret across traces."""
     traces = tuple(traces)
     if not traces:
@@ -147,7 +131,6 @@ def summarize(traces, policy_label: str = "") -> ExperimentSummary:
     t_sacbs = [tr.t_sacb for tr in traces if tr.t_sacb is not None]
     beta_hats = [tr.beta_hat for tr in traces if tr.beta_hat is not None]
     return ExperimentSummary(
-        policy=policy_label,
         reps=reps,
         mean_regret=float(np.mean(finals)),
         sd=sd,
@@ -161,8 +144,7 @@ def summarize(traces, policy_label: str = "") -> ExperimentSummary:
 def _replication_cell(args):
     """A group of policies on one replication, sharing one draw of its streams."""
     instance_spec, T, policy_specs, rep, base_seed, stride = args
-    instance = (instance_spec if isinstance(instance_spec, ProblemInstance)
-                else make_instance(instance_spec, T))
+    instance = make_instance(instance_spec, T)
     streams = draw_streams(instance, T, base_seed, rep)
     return [run_episode(instance, ps, T, base_seed, checkpoint_stride=stride,
                         rep=rep, streams=streams) for ps in policy_specs]
@@ -170,39 +152,30 @@ def _replication_cell(args):
 
 def dedup_labels(policy_specs) -> list:
     """Stable labels for a policy list; duplicates get #index suffixes."""
-    labels = [ps.label() if isinstance(ps, PolicySpec) else str(ps)
-              for ps in policy_specs]
+    labels = [ps.label() for ps in policy_specs]
     if len(set(labels)) != len(labels):
         labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
     return labels
 
 
-def run_experiment(instance_spec, policy_specs, T: int, reps: int,
+def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
                    base_seed: int, parallelism: int = 1,
                    checkpoint_stride: int | None = None) -> dict:
     """Replicated, paired comparison of several policies on one instance.
 
+    instance_spec is a dict understood by `instances.make_instance`; each
+    task, in this process or a worker, builds the instance from it.
     Replication r of every policy consumes the same covariate and noise
     streams (keyed by (base_seed, r)), so cross-policy comparisons are
     paired.  Results are keyed by policy label, in the order of
     policy_specs, and deterministic in content regardless of parallelism.
-
-    instance_spec is either a ProblemInstance or a dict understood by
-    `instances.make_instance` (required for process-based parallelism; a
-    ProblemInstance with parallelism > 1 runs serially with a RuntimeWarning).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     specs = list(policy_specs)
     labels = dedup_labels(specs)
 
-    parallel = parallelism > 1 and isinstance(instance_spec, dict)
-    if parallelism > 1 and not parallel:
-        warnings.warn(
-            f"run_experiment(parallelism={parallelism}) got a ProblemInstance, "
-            "which worker processes cannot rebuild; running serially (pass "
-            "an instance spec dict to run in parallel)",
-            RuntimeWarning, stacklevel=2)
+    parallel = parallelism > 1
     # A task runs a group of policies on one replication and draws its
     # streams once.  Each replication is split into just enough groups to
     # give every worker a task.
@@ -218,5 +191,5 @@ def run_experiment(instance_spec, policy_specs, T: int, reps: int,
 
     per_rep = [sum(results[r * groups:(r + 1) * groups], [])
                for r in range(reps)]
-    return {label: summarize([traces[i] for traces in per_rep], policy_label=label)
+    return {label: summarize([traces[i] for traces in per_rep])
             for i, label in enumerate(labels)}

@@ -142,6 +142,28 @@ class TestRun:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    # --reps 0 used to bypass the config checks: the run failed (exit 3) and
+    # left a header-only results.csv and a manifest.json behind.
+    def test_flag_error_exits_2_before_writing(self, tmp_path, capsys):
+        p = small_config(tmp_path)
+        assert main(["run", "--config", str(p), "--reps", "0"]) == 2
+        assert "config error: reps must be an integer >= 1" in capsys.readouterr().err
+        assert not Path(json.loads(p.read_text())["output_dir"]).exists()
+
+    def test_flags_override_file_values(self, tmp_path):
+        # Flags give the same run, config hash included, as the file values.
+        results = []
+        for name, flags, over in (
+                ("flags", ["--seed", "7", "--reps", "1", "--threads", "2"], {}),
+                ("file", [], {"base_seed": 7, "reps": 1, "threads": 2})):
+            (tmp_path / name).mkdir()
+            p = small_config(tmp_path / name, T=5_000,
+                             output_dir=str(tmp_path / "unused"), **over)
+            out = tmp_path / name / "out"
+            assert main(["run", "--config", str(p), "--out", str(out), *flags]) == 0
+            results.append((out / "results.csv").read_bytes())
+        assert results[0] == results[1]
+
     # Each of these used to pass parsing: the first then ran with gamma
     # 0.145, the other two failed mid-run (exit 3, partial results.csv).
     @pytest.mark.parametrize("over,match", [
@@ -350,7 +372,11 @@ class TestSweepAndPlot:
         assert "l=14" in out and "r_bar=38" in out and "j2=85" in out
         assert "l_tilde=106" in out and "bins_per_axis=4" in out
 
-    def test_verify_subcommand(self, tmp_path):
+    def test_verify_subcommand(self, tmp_path, capsys):
         p = small_config(tmp_path, T=100_000,
                          instance={"kind": "power", "beta": 0.6, "delta": 1.0})
         assert main(["verify", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        # Witness points print as plain floats, not numpy scalars.
+        assert "self_similarity: holds" in out and "witness={" in out
+        assert "np.float64" not in out

@@ -157,13 +157,19 @@ def test_sacb_starved_stream_never_hands_off():
 
 
 def test_run_episode_paths_agree():
+    # run_episode's regret accounting of the engine's actions equals the
+    # same quantities computed from the sequential policy's actions.
+    T, seed = 20_000, 23
     instance = make_instance({"kind": "setting1", "beta": 0.9,
-                              "overrides": {"M": 8.0}}, 20_000)
+                              "overrides": {"M": 8.0}}, T)
     pspec = PolicySpec("abse", {"beta": 0.8, "gamma_abse": 2.0})
-    a = sim.run_episode(instance, pspec, 20_000, seed=23)
-    b = sim.run_episode(instance, pspec, 20_000, seed=23, force_sequential=True)
-    assert a.final_regret == pytest.approx(b.final_regret, abs=1e-9)
-    assert a.inferior_count == b.inferior_count
+    trace = sim.run_episode(instance, pspec, T, seed)
+    X, F, Y = sim.draw_streams(instance, T, seed)
+    actions = sequential_actions(pspec.build(instance, T), X, Y)
+    chosen = F[np.arange(T), actions - 1]
+    best = F.max(axis=1)
+    assert trace.final_regret == pytest.approx(np.sum(best - chosen), rel=1e-12)
+    assert trace.inferior_count == np.count_nonzero(chosen < best)
 
 
 LOWER_BOUND = {"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,

@@ -40,7 +40,7 @@ class TestInit:
         assert pol.levels.r_bar == 24
         for st in pol.state.values():
             assert st.counts == [0, 0]
-            assert not st.fired
+            assert st.r_last is None
         assert pol.degree == 0  # floor_strict(1.0)
 
     def test_rounds_per_bin_identical(self):

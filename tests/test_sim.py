@@ -1,4 +1,3 @@
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from banditlab import rng
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
-from banditlab.policies import FixedArmPolicy, PolicySpec
+from banditlab.policies import PolicySpec
 from banditlab.sim import RegretTrace, run_episode, run_experiment, summarize
 
 
@@ -72,11 +71,6 @@ class TestEpisode:
         a = run_episode(inst, spec, 20_000, seed=5)
         b = run_episode(inst, spec, 20_000, seed=5)
         assert a == b
-
-    def test_live_policy_object_accepted(self):
-        inst = flat_instance()
-        tr = run_episode(inst, FixedArmPolicy(2), 100, seed=6)
-        assert tr.final_regret == 0.0
 
 
 class TestSummarize:
@@ -146,20 +140,6 @@ class TestExperiment:
                                wraps=rng.covariate_block) as draws:
             run_experiment(spec, policies, 15_000, reps=3, base_seed=12)
         assert draws.call_count == 3
-
-    def test_instance_object_with_parallelism_warns_and_runs_serially(self):
-        inst = make_instance({"kind": "setting1", "beta": 0.9,
-                              "overrides": {"M": 8.0}}, 15_000)
-        policies = [PolicySpec("abse", {"beta": 0.5})]
-        with pytest.warns(RuntimeWarning, match="running serially"):
-            par = run_experiment(inst, policies, 15_000, reps=2, base_seed=12,
-                                 parallelism=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            serial = run_experiment(inst, policies, 15_000, reps=2,
-                                    base_seed=12, parallelism=1)
-        for k in serial:
-            assert serial[k].mean_regret == par[k].mean_regret
 
     def test_sacb_audit_fields_aggregated(self):
         res = run_experiment(
