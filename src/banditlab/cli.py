@@ -43,6 +43,8 @@ PLOT_HEADER = "x,mean,ci_lo,ci_hi"
 
 INSTANCE_KINDS = ("setting1", "setting2", "power", "lower_bound", "example1")
 POLICY_KINDS = ("sacb", "abse", "oracle", "fixed")
+CONFIG_KEYS = ("instance", "policies", "T", "reps", "base_seed", "threads",
+               "traces", "checkpoint_stride", "sweep", "output_dir")
 
 
 def tuning_defaults(config_cls) -> dict:
@@ -76,20 +78,26 @@ def fmt(x) -> str:
     return str(x)
 
 
+def load_config(path) -> dict:
+    """The JSON object of a config file, not yet checked."""
+    p = Path(path)
+    try:
+        return json.loads(p.read_text())
+    except FileNotFoundError:
+        raise ValidationError(f"config file not found: {p}")
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"config parse error at line {e.lineno}: {e.msg}")
+
+
 def parse_config(path_or_dict) -> dict:
-    """Load, default, validate and normalize an experiment config."""
-    if isinstance(path_or_dict, dict):
-        raw = dict(path_or_dict)
-    else:
-        p = Path(path_or_dict)
-        try:
-            raw = json.loads(p.read_text())
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {p}")
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"config parse error at line {e.lineno}: {e.msg}")
+    """Default, validate and normalize an experiment config (or its file)."""
+    raw = (dict(path_or_dict) if isinstance(path_or_dict, dict)
+           else load_config(path_or_dict))
 
     problems = []
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        problems.append(f"unknown config keys {unknown}")
     cfg = {}
     inst = dict(raw.get("instance") or {})
     kind = inst.get("kind")
@@ -103,10 +111,12 @@ def parse_config(path_or_dict) -> dict:
     for key, values in dict(raw.get("sweep") or {}).items():
         if key not in ("tilde_beta", "T", "beta"):
             problems.append(f"sweep key {key!r} not supported (tilde_beta, T, beta)")
-        if isinstance(values, (list, tuple)):
-            cfg["sweep"][key] = list(values)
-        else:
+        if not isinstance(values, (list, tuple)):
             problems.append(f"sweep.{key} must be a list of values, got {values!r}")
+        elif not values:
+            problems.append(f"sweep.{key} must not be empty")
+        else:
+            cfg["sweep"][key] = list(values)
 
     cfg["T"] = _integer(raw.get("T", 0), "T", problems, low=1)
     # Every horizon a run uses, as _cells takes them.
@@ -153,7 +163,10 @@ def parse_config(path_or_dict) -> dict:
                         AbseConfig(beta=beta, T=T, d=1, **tuning)
             except (TypeError, ValueError, BanditLabError) as e:
                 problems.append(f"policies[{i}]: {e}")
-        elif pkind == "fixed":
+        else:
+            extra = set(pol) - ({"kind", "arm"} if pkind == "fixed" else {"kind"})
+            if extra:
+                problems.append(f"policies[{i}]: unknown {pkind} keys {sorted(extra)}")
             if pol.get("arm", 1) not in (1, 2):
                 problems.append(f"policies[{i}].arm must be 1 or 2")
         norm_policies.append(pol)
@@ -161,8 +174,10 @@ def parse_config(path_or_dict) -> dict:
 
     cfg["reps"] = _integer(raw.get("reps", 1), "reps", problems, low=1)
     cfg["base_seed"] = _integer(raw.get("base_seed", 20240601), "base_seed", problems)
-    cfg["threads"] = _integer(raw.get("threads", 1), "threads", problems)
-    cfg["traces"] = bool(raw.get("traces", False))
+    cfg["threads"] = _integer(raw.get("threads", 1), "threads", problems, low=1)
+    cfg["traces"] = raw.get("traces", False)
+    if not isinstance(cfg["traces"], bool):
+        problems.append(f"traces must be true or false, got {cfg['traces']!r}")
     stride = raw.get("checkpoint_stride")
     cfg["checkpoint_stride"] = (None if stride is None else
                                 _integer(stride, "checkpoint_stride", problems, low=1))
@@ -206,8 +221,6 @@ def _cell_policies(cfg: dict, cell: dict):
         pol = dict(pol)
         pkind = pol.pop("kind")
         if pkind == "abse" and "beta" not in pol:
-            if cell["tilde_beta"] is None:
-                continue
             pol["beta"] = float(cell["tilde_beta"])
         specs.append(PolicySpec(pkind, pol))
     return specs, dedup_labels(specs)
@@ -502,14 +515,12 @@ def main(argv=None) -> int:
                     choices=["sweep", "table"], help="figures to emit")
     args = ap.parse_args(argv)
 
-    # Flags override the file's values and get the same checks.
+    # Flags override the file's values and are checked with them.
     flags = {key: getattr(args, key)
              for key in ("base_seed", "reps", "threads", "traces")
              if getattr(args, key) is not None}
     try:
-        cfg = parse_config(args.config)
-        if flags:
-            cfg = parse_config({**cfg, **flags})
+        cfg = parse_config({**load_config(args.config), **flags})
         out_dir = Path(args.out or cfg["output_dir"])
         if args.command == "run":
             return _cmd_run(cfg, out_dir, args.figure)

@@ -354,29 +354,26 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
     raise InvalidRegimeError(f"unknown variant {variant!r}")
 
 
-def make_example1_family(beta: float, tilde_beta: float, T: int, part: int,
-                         L: float = 1.0, c0: float = 2.0, mu: float = 0.5,
-                         d: int = 1) -> ProblemInstance:
-    """Misspecified-ABSE analysis payoffs (bump fields around 1/2).
+def make_example1_family(beta: float, tilde_beta: float, T: int,
+                         part: int) -> ProblemInstance:
+    """Misspecified-ABSE analysis payoffs (bump fields around 1/2) in d = 1.
 
     part 1: all-positive bump field at the first m cell centers of an
-    M-per-axis grid; part 2: alternating field along the first axis.
-    Bernoulli rewards.
+    M-cell grid; part 2: alternating field.  The analysis constants are
+    L = 1, c0 = 2 and mu = 1/2.  Bernoulli rewards.
     """
-    if d != 1:
-        raise NotImplementedError("analysis family is generated for d = 1")
-    C = min(2.0 ** (beta - 1.0) * L, 0.25)
+    C = min(2.0 ** (beta - 1.0), 0.25)
     alpha = 1.0 / beta
     if part == 1:
-        M_raw = (0.5 / c0) * (2.0 * math.log(2.0) / T) ** (-tilde_beta / (2 * tilde_beta + d))
+        M_raw = 0.25 * (2.0 * math.log(2.0) / T) ** (-tilde_beta / (2 * tilde_beta + 1))
         M = max(1, round(math.floor(M_raw) ** (1.0 / beta)))
-        m = max(1, math.ceil(mu * M ** (d - alpha * beta)))
+        m = max(1, math.ceil(0.5 * M ** (1 - alpha * beta)))
         centers = (np.arange(m) + 0.5) / M
         signs = np.ones(m)
     elif part == 2:
         k = math.ceil(math.log2(T / (2.0 * math.log(2.0))) / (2 * tilde_beta + 1))
         M = 2 ** k
-        m = min(M - 2, 2 * math.ceil(mu * M ** (1 - alpha * beta)))
+        m = min(M - 2, 2 * math.ceil(0.5 * M ** (1 - alpha * beta)))
         centers = (np.arange(1, m + 1) + 0.5) / M
         signs = (-1.0) ** np.arange(1, m + 1)
     else:
@@ -386,7 +383,7 @@ def make_example1_family(beta: float, tilde_beta: float, T: int, part: int,
     def f1(pts):
         return _bump_field(pts[:, 0], amp, M, centers, signs, beta)
 
-    meta = {"beta": beta, "L": L, "alpha": alpha, "M": M, "m": m, "C": C,
+    meta = {"beta": beta, "L": 1.0, "alpha": alpha, "M": M, "m": m, "C": C,
             "part": part, "tilde_beta": tilde_beta}
     return _instance("example1", 1, f1, _constant(0.5), ("bernoulli",), meta)
 
@@ -448,13 +445,13 @@ def _grid(d: int, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def check_holder(instance, beta: float, L: float, grid_n: int = 200,
-                 fd_step: float = 1e-4) -> PropertyReport:
+def check_holder(instance, beta: float, L: float,
+                 grid_n: int = 200) -> PropertyReport:
     """Grid check of |f(x') - f_x(x')| <= L ||x - x'||_inf^beta.
 
     For beta <= 1 the Taylor term is f(x) itself; for beta in (1, 2] the
-    gradient is taken by central differences with step ``fd_step`` and the
-    check tolerance widens to 1e-3 to absorb the discretization.
+    gradient is taken by central differences with step 1e-4 and the check
+    tolerance widens to 1e-3 to absorb the discretization.
     """
     arms, d = _instance_arms(instance)
     k = floor_strict(beta)
@@ -473,7 +470,7 @@ def check_holder(instance, beta: float, L: float, grid_n: int = 200,
             grads = np.empty((n, d))
             for j in range(d):
                 shift = np.zeros(d)
-                shift[j] = fd_step
+                shift[j] = 1e-4
                 hi = np.clip(pts + shift, 0.0, 1.0)
                 lo = np.clip(pts - shift, 0.0, 1.0)
                 grads[:, j] = ((eval_points(f, hi) - eval_points(f, lo))
@@ -500,8 +497,7 @@ def check_holder(instance, beta: float, L: float, grid_n: int = 200,
 
 
 def check_margin(instance: ProblemInstance, alpha: float, C0: float,
-                 grid_n: int = 100_000, delta_grid=None,
-                 quad_tol: float | None = None) -> PropertyReport:
+                 grid_n: int = 100_000, delta_grid=None) -> PropertyReport:
     """Grid estimate of P{0 < |f1 - f2| <= delta} against C0 delta^alpha."""
     deltas = np.asarray(delta_grid if delta_grid is not None
                         else np.geomspace(1e-3, 1.0, 13), dtype=float)
@@ -511,7 +507,7 @@ def check_margin(instance: ProblemInstance, alpha: float, C0: float,
     n_axis = grid_n if d == 1 else max(2, int(round(grid_n ** (1 / d))))
     pts = _grid(d, n_axis)
     gaps = np.abs(eval_points(instance.f1, pts) - eval_points(instance.f2, pts))
-    tol = quad_tol if quad_tol is not None else 8.0 / n_axis ** (1 / d) + 1e-12
+    tol = 8.0 / n_axis ** (1 / d) + 1e-12
     margin = math.inf
     worst = None
     for delta in deltas:
@@ -577,15 +573,15 @@ def check_self_similarity(instance: ProblemInstance, beta: float, b: float,
                           margin_of_violation=margin)
 
 
-def projection_bias_constant(f, beta: float, p: int, q: float,
-                             levels, d: int = 1,
+def projection_bias_constant(f, beta: float, p: int, q: float, levels,
                              probe_per_axis: int = 65,
                              nodes_per_axis: int = 2048) -> float:
-    """Empirical upper-bound constant: max over levels of sup|Gamma f - f| / h^beta."""
+    """Empirical upper-bound constant of a d = 1 function f: the max over
+    levels of sup |Gamma f - f| / h^beta."""
     worst = 0.0
     for level in levels:
         h = q ** (-level)
-        for box in qadic_boxes(d, q, level):
+        for box in qadic_boxes(1, q, level):
             probes = box.midpoint_nodes(probe_per_axis)[0]
             biases = _projection_biases(f, box, p, h, probes, nodes_per_axis)
             worst = max(worst, np.max(biases / h ** beta))

@@ -9,7 +9,7 @@ Q xi = V with
     V[s]      = sum_i Y_i (X_i - x)^s  K((X_i - x)/h)
 
 If Q is not numerically positive definite the fit is flagged degenerate and
-evaluates to 0 everywhere; callers never see an exception from a bad window.
+its value is 0; callers never see an exception from a bad window.
 
 `fit_local_polynomial` fits one center by direct sums.  `window_fits`
 evaluates the same estimator at many centers at once from window moments
@@ -51,34 +51,12 @@ def enumerate_multi_indices(d: int, p: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _as_xy_arrays(data, d_hint=None):
-    """Accept a list of (x, y) pairs or an (X, y) array pair."""
-    if isinstance(data, tuple) and len(data) == 2 and hasattr(data[0], "ndim"):
-        X = np.asarray(data[0], dtype=float)
-        y = np.asarray(data[1], dtype=float)
-    else:
-        xs, ys = [], []
-        for rec in data:
-            x, yv = rec
-            xs.append(np.atleast_1d(np.asarray(x, dtype=float)))
-            ys.append(float(yv))
-        if not xs:
-            d = d_hint or 1
-            return np.empty((0, d)), np.empty(0)
-        X = np.stack(xs)
-        y = np.asarray(ys)
-    if X.ndim == 1:
-        X = X[:, None]
-    return X, y
-
-
 @dataclass(frozen=True)
 class PolynomialEstimate:
     """A fitted local polynomial: coefficients xi_s around a center.
 
-    When ``degenerate`` is set the estimate is identically zero, matching
-    the convention that a non-unique least-squares minimizer yields the
-    zero estimator.
+    When ``degenerate`` is set the value is zero, matching the convention
+    that a non-unique least-squares minimizer yields the zero estimator.
     """
 
     coefficients: dict
@@ -95,22 +73,13 @@ class PolynomialEstimate:
         d = len(self.center)
         return self.coefficients[(0,) * d]
 
-    def __call__(self, x) -> float:
-        if self.degenerate:
-            return 0.0
-        u = np.atleast_1d(np.asarray(x, dtype=float)) - np.asarray(self.center)
-        total = 0.0
-        for s, coef in self.coefficients.items():
-            total += coef * float(np.prod(u ** np.asarray(s)))
-        return total
-
 
 def fit_local_polynomial(data, center, bandwidth: float, degree: int) -> PolynomialEstimate:
     """Box-kernel local polynomial fit of the given degree.
 
     Parameters
     ----------
-    data : sequence of (x, y) pairs, or an (X, y) array pair
+    data : (X, y) array pair; X is (n, d), or (n,) when d = 1
     center : point the polynomial is centered on
     bandwidth : kernel half-width h > 0 (sup-norm window)
     degree : polynomial degree p >= 0
@@ -126,12 +95,13 @@ def fit_local_polynomial(data, center, bandwidth: float, degree: int) -> Polynom
         raise ValueError(f"degree must be >= 0, got {degree}")
     center_arr = np.atleast_1d(np.asarray(center, dtype=float))
     d = center_arr.shape[0]
-    X, y = _as_xy_arrays(data, d_hint=d)
+    X = np.asarray(data[0], dtype=float).reshape(-1, d)
+    y = np.asarray(data[1], dtype=float)
     indices = enumerate_multi_indices(d, degree)
     m = len(indices)
 
     dx = X - center_arr
-    inside = np.max(np.abs(dx), axis=1) <= bandwidth if len(X) else np.zeros(0, bool)
+    inside = np.max(np.abs(dx), axis=1) <= bandwidth
     dxw = dx[inside]
     yw = y[inside]
 

@@ -24,11 +24,9 @@ BinId = tuple
 
 @dataclass(frozen=True)
 class Partition:
-    """A level-l base-q partition with per_axis cells per axis."""
+    """A partition of [0,1]^d with per_axis cells per axis."""
 
     d: int
-    q: float
-    l: float
     per_axis: int
 
     @property
@@ -65,7 +63,7 @@ def build_partition(d: int, q: float, l: float) -> Partition:
         raise InvalidBaseError(f"base q must exceed 1, got {q}")
     if l < 0:
         raise ValueError(f"level must be >= 0, got {l}")
-    return Partition(d=d, q=float(q), l=float(l), per_axis=cells_per_axis(q, l))
+    return Partition(d=d, per_axis=cells_per_axis(q, l))
 
 
 def locate_bin(partition: Partition, x) -> BinId:

@@ -48,7 +48,7 @@ class PolicySpec:
     kind: "abse" | "sacb" | "oracle" | "fixed".  params are kind-specific:
     abse and sacb take the fields of AbseConfig (less T and d) and
     SacbConfig, whose defaults fill in every tuning value params leave out;
-    fixed accepts {arm}.
+    fixed takes {arm} and oracle nothing.
     """
 
     kind: str

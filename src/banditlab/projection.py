@@ -3,13 +3,14 @@
 For a hypercube U, bandwidth h and degree p, the projection of f at a point
 x in U is g(x) where g minimizes
 
-    integral_U |f(v) - g(v)|^2 K((x - v)/h) p(v | U) dv
+    integral_U |f(v) - g(v)|^2 K((x - v)/h) dv
 
-over polynomials of degree at most p, with the box kernel K.  The closed
-form is xi = B^{-1} W in the rescaled monomial basis u = (v - x)/h, with
+over polynomials of degree at most p, with the box kernel K and uniform
+covariates on U.  The closed form is xi = B^{-1} W in the rescaled monomial
+basis u = (v - x)/h, with the integrals over x + h u in U
 
-    B[s1, s2] = integral u^(s1+s2) K(u) p(x + h u | U) du
-    W[s]      = integral u^s f(x + h u) K(u) p(x + h u | U) du
+    B[s1, s2] = integral u^(s1+s2) K(u) du
+    W[s]      = integral u^s f(x + h u) K(u) du
 
 Both integrals are evaluated by a tensor-product midpoint rule over U; the
 node count per axis is part of the call signature so results are exactly
@@ -72,20 +73,18 @@ class Box:
 
 
 def eval_points(f, nodes: np.ndarray) -> np.ndarray:
-    """f at (n, d) nodes as an (n,) array, for scalar- or vector-aware f.
+    """f at (n, d) nodes as an (n,) array; f must be vectorized.
 
     A d = 1 function is given its n points as a 1-D array.
     """
     arg = nodes[:, 0] if nodes.shape[1] == 1 else nodes
     vals = np.asarray(f(arg), dtype=float)
     if vals.shape != (len(nodes),):
-        vals = np.array(
-            [f(x[0] if len(x) == 1 else x) for x in nodes], dtype=float
-        )
+        raise ValueError(f"f must return one value per point, got {vals.shape}")
     return vals
 
 
-def _solve_projection(powers, fw, w, x, h, nodes):
+def _solve_projection(powers, fw, cell_vol, x, h, nodes):
     u = (nodes - x) / h
     inside = np.max(np.abs(u), axis=1) <= 1.0
     if not np.any(inside):
@@ -93,13 +92,13 @@ def _solve_projection(powers, fw, w, x, h, nodes):
             f"kernel window around {x} contains no quadrature mass"
         )
     uu = u[inside]
-    weights = w[inside] if w.ndim else np.full(len(uu), float(w))
     m = len(powers)
     mono = np.empty((len(uu), m))
     for j, s in enumerate(powers):
         mono[:, j] = np.prod(uu ** np.asarray(s, dtype=float), axis=1)
-    B = (mono * weights[:, None]).T @ mono
-    W = (mono * weights[:, None]).T @ fw[inside]
+    weighted = mono * cell_vol
+    B = weighted.T @ mono
+    W = weighted.T @ fw[inside]
     scale = np.max(np.abs(B))
     if scale == 0.0 or np.linalg.eigvalsh(B)[0] <= SINGULARITY_TOL * scale:
         raise IllConditionedError(
@@ -111,17 +110,15 @@ def _solve_projection(powers, fw, w, x, h, nodes):
 
 
 def project_to_polynomial(f, bin_box: Box, degree: int, bandwidth: float,
-                          density=None, nodes_per_axis: int = DEFAULT_NODES_PER_AXIS):
+                          nodes_per_axis: int = DEFAULT_NODES_PER_AXIS):
     """Pointwise evaluator for the degree-p projection of f over a hypercube.
 
     Parameters
     ----------
-    f : payoff function on the bin (scalar or vectorized)
+    f : vectorized payoff function on the bin (see `eval_points`)
     bin_box : the hypercube U
     degree : maximum polynomial degree p >= 0
     bandwidth : kernel half-width h > 0
-    density : covariate density on the bin (None means uniform); only its
-        shape matters, normalization cancels in B^{-1} W
     nodes_per_axis : midpoint-rule resolution, recorded on the returned
         callable as ``quadrature_nodes``
 
@@ -135,25 +132,17 @@ def project_to_polynomial(f, bin_box: Box, degree: int, bandwidth: float,
     powers = enumerate_multi_indices(bin_box.d, degree)
     nodes, cell_vol = bin_box.midpoint_nodes(nodes_per_axis)
     fv = eval_points(f, nodes)
-    if density is None:
-        w = np.float64(cell_vol)
-    else:
-        w = eval_points(density, nodes) * cell_vol
-        if np.any(w <= 0):
-            raise ValueError("density must be strictly positive on the bin")
 
     def g(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return _solve_projection(powers, fv, w, x_arr, bandwidth, nodes)
+        return _solve_projection(powers, fv, cell_vol, x_arr, bandwidth, nodes)
 
     g.quadrature_nodes = nodes_per_axis
-    g.degree = degree
-    g.bandwidth = float(bandwidth)
     return g
 
 
 def brute_force_projection(f, bin_box: Box, degree: int, bandwidth: float,
-                           density=None, grid_n: int = 10_000):
+                           grid_n: int = 10_000):
     """Independent oracle: discrete least squares on a grid_n-point grid.
 
     Minimizes the same weighted integral as `project_to_polynomial` but as a
@@ -168,7 +157,6 @@ def brute_force_projection(f, bin_box: Box, degree: int, bandwidth: float,
     powers = enumerate_multi_indices(d, degree)
     nodes, _ = bin_box.midpoint_nodes(n_axis)
     fv = eval_points(f, nodes)
-    dens = np.ones(len(nodes)) if density is None else eval_points(density, nodes)
 
     def g(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -182,10 +170,7 @@ def brute_force_projection(f, bin_box: Box, degree: int, bandwidth: float,
         design = np.empty((len(uu), len(powers)))
         for j, s in enumerate(powers):
             design[:, j] = np.prod(uu ** np.asarray(s, dtype=float), axis=1)
-        sqrt_w = np.sqrt(dens[inside])
-        A = design * sqrt_w[:, None]
-        b = fv[inside] * sqrt_w
-        coef, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(design, fv[inside], rcond=None)
         if rank < len(powers):
             raise InsufficientGridError(
                 f"grid design rank {rank} < basis size {len(powers)}"
@@ -194,5 +179,4 @@ def brute_force_projection(f, bin_box: Box, degree: int, bandwidth: float,
         # term, which equals the projection value at x.
         return float(coef[0])
 
-    g.grid_n = grid_n
     return g

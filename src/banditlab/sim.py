@@ -41,7 +41,6 @@ class RegretTrace:
 class ExperimentSummary:
     """Aggregate over replications of one policy on one instance."""
 
-    reps: int
     mean_regret: float
     sd: float
     ci95: float | None
@@ -131,7 +130,6 @@ def summarize(traces) -> ExperimentSummary:
     t_sacbs = [tr.t_sacb for tr in traces if tr.t_sacb is not None]
     beta_hats = [tr.beta_hat for tr in traces if tr.beta_hat is not None]
     return ExperimentSummary(
-        reps=reps,
         mean_regret=float(np.mean(finals)),
         sd=sd,
         ci95=ci,

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL lines.
 
 Criteria 1-2 reproduce the published experiment tables at T = 2e6 with 40
-replications (marked slow, ~10-15 minutes each on 8 cores); criterion 3 is
+replications (marked slow, about 90 s each on 2 cores); criterion 3 is
 the desk-scale smoke; criterion 4 exercises the smoothness estimator at the
 experiment horizon; criteria 5-9 are numerical-oracle and invariant gates.
 """

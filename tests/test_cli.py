@@ -150,6 +150,14 @@ class TestRun:
         assert "config error: reps must be an integer >= 1" in capsys.readouterr().err
         assert not Path(json.loads(p.read_text())["output_dir"]).exists()
 
+    # The file used to be parsed alone before the flags were applied, so a
+    # flag could not mend a bad file value: this exited 2.
+    def test_flag_mends_file_value(self, tmp_path):
+        p = small_config(tmp_path, T=5_000, reps=0)
+        assert main(["run", "--config", str(p), "--reps", "1"]) == 0
+        out = Path(json.loads(p.read_text())["output_dir"])
+        assert {r["reps"] for r in _read_results(out / "results.csv")} == {"1"}
+
     def test_flags_override_file_values(self, tmp_path):
         # Flags give the same run, config hash included, as the file values.
         results = []
@@ -165,13 +173,22 @@ class TestRun:
         assert results[0] == results[1]
 
     # Each of these used to pass parsing: the first then ran with gamma
-    # 0.145, the other two failed mid-run (exit 3, partial results.csv).
+    # 0.145, the next two failed mid-run (exit 3, partial results.csv).  A
+    # misspelled fixed key ran arm 1, oracle took any key, and an empty
+    # tilde_beta sweep dropped the anonymous abse (exit 0, one row).
     @pytest.mark.parametrize("over,match", [
         ({"policies": [{"kind": "sacb", "gama": 9.0}]}, "gama"),
         ({"policies": [{"kind": "abse"}], "sweep": {"tilde_beta": [0.5, 1.2]}},
          r"beta must be in \(0, 1\]"),
         ({"policies": [{"kind": "abse", "beta": 0.9, "c0": -1}]}, "c0"),
-    ], ids=["unknown-key", "tilde-beta-range", "negative-c0"])
+        ({"policies": [{"kind": "fixed", "armm": 2}]},
+         r"unknown fixed keys \['armm'\]"),
+        ({"policies": [{"kind": "oracle", "arm": 2}]},
+         r"unknown oracle keys \['arm'\]"),
+        ({"policies": [{"kind": "abse"}, {"kind": "abse", "beta": 0.9}],
+          "sweep": {"tilde_beta": []}}, "sweep.tilde_beta must not be empty"),
+    ], ids=["unknown-key", "tilde-beta-range", "negative-c0", "fixed-key",
+            "oracle-key", "empty-sweep"])
     def test_policy_config_error_exits_2_before_writing(self, tmp_path, over,
                                                         match):
         p = small_config(tmp_path, **over)
@@ -179,7 +196,7 @@ class TestRun:
             parse_config(p)
         assert main(["run", "--config", str(p)]) == 2
         out = Path(json.loads(p.read_text())["output_dir"])
-        assert not (out / "results.csv").exists()
+        assert not out.exists()
 
     # Each of these used to get past parsing: the horizons too short for the
     # policy failed mid-run (exit 3, partial results.csv), "abc" escaped as
@@ -189,7 +206,9 @@ class TestRun:
     # instance that cannot be built (no bump fits setting1 at T = 2000, or
     # beta out of range) failed mid-run (exit 3, header-only results.csv);
     # an unknown instance or override key ran silently with the default,
-    # and a missing lower_bound key escaped as a KeyError traceback.
+    # and a missing lower_bound key escaped as a KeyError traceback.  A
+    # misspelled top-level key ran with its default, "no" turned traces on,
+    # and 0 or -3 threads ran serially.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -214,11 +233,17 @@ class TestRun:
          r"instance: unknown power instance keys \['delt'\]"),
         ({"instance": {"kind": "lower_bound", "beta": 0.5, "alpha": 1.0,
                        "delta": 0.2}}, "instance: lower_bound needs 'gamma'"),
+        ({"threds": 8}, r"unknown config keys \['threds'\]"),
+        ({"rep": 5}, r"unknown config keys \['rep'\]"),
+        ({"traces": "no"}, "traces must be true or false, got 'no'"),
+        ({"threads": 0}, "threads must be an integer >= 1"),
+        ({"threads": -3}, "threads must be an integer >= 1"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
             "instance-beta-range", "sweep-beta-range", "unknown-override",
-            "unknown-instance-key", "missing-instance-key"])
+            "unknown-instance-key", "missing-instance-key", "threds", "rep",
+            "traces-string", "threads-zero", "threads-negative"])
     def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
                                                              over, match):
         p = small_config(tmp_path, **over)
@@ -226,7 +251,7 @@ class TestRun:
             parse_config(p)
         assert main(["run", "--config", str(p)]) == 2
         out = Path(json.loads(p.read_text())["output_dir"])
-        assert not (out / "results.csv").exists()
+        assert not out.exists()
 
 
 class TestPlan:

@@ -56,7 +56,8 @@ class TestFloorStrict:
 
 class TestFit:
     def test_degree_zero_is_window_mean(self):
-        est = fit_local_polynomial([((0.0,), 1.0), ((0.1,), 3.0)], 0.0, 1.0, 0)
+        est = fit_local_polynomial((np.array([0.0, 0.1]), np.array([1.0, 3.0])),
+                                   0.0, 1.0, 0)
         assert est.value == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_linear_recovery(self):
@@ -66,14 +67,13 @@ class TestFit:
         assert abs(est.value - 3.5) <= 1e-9
 
     def test_all_out_of_window_is_degenerate(self):
-        est = fit_local_polynomial([((0.9,), 1.0)], 0.0, 0.5, 0)
+        est = fit_local_polynomial((np.array([0.9]), np.array([1.0])), 0.0, 0.5, 0)
         assert est.degenerate
         assert est.value == 0.0
-        assert est(0.3) == 0.0
 
     def test_underdetermined_is_degenerate(self):
         # one in-window sample cannot pin down a line
-        est = fit_local_polynomial([((0.1,), 1.0)], 0.0, 0.5, 1)
+        est = fit_local_polynomial((np.array([0.1]), np.array([1.0])), 0.0, 0.5, 1)
         assert est.degenerate
 
     def test_permutation_invariance_bit_exact(self):
@@ -128,24 +128,18 @@ class TestFit:
             want = lstsq_oracle(X, y, center, 0.5, p)
             assert est.value == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    def test_evaluate_away_from_center(self):
-        xs = np.linspace(0, 1, 20)
-        ys = 1.0 + 2.0 * xs
-        est = fit_local_polynomial((xs, ys), 0.5, 1.0, 1)
-        assert est(0.75) == pytest.approx(2.5, abs=1e-9)
-
     def test_rejects_bad_arguments(self):
+        data = (np.array([0.1]), np.array([1.0]))
         with pytest.raises(ValueError):
-            fit_local_polynomial([((0.1,), 1.0)], 0.0, 0.0, 0)
+            fit_local_polynomial(data, 0.0, 0.0, 0)
         with pytest.raises(ValueError):
-            fit_local_polynomial([((0.1,), 1.0)], 0.0, 1.0, -1)
+            fit_local_polynomial(data, 0.0, 1.0, -1)
 
 
 class TestEstimateObject:
     def test_degenerate_contract(self):
         est = PolynomialEstimate({}, (0.0,), 1.0, 1, True)
         assert est.value == 0.0
-        assert est(0.9) == 0.0
 
 
 # window_fits against a loop over fit_local_polynomial.  The window and the

@@ -44,12 +44,11 @@ class TestProjection:
         want = h ** beta / (beta + 1.0)
         assert abs(proj(0.0) - want) <= 1e-6
 
-    def test_nonuniform_density_shifts_projection(self):
+    def test_scalar_valued_function_rejected(self):
+        # f gets all quadrature nodes at once and must give one value each.
         box = Box.make([0.0], [1.0])
-        flat = project_to_polynomial(lambda x: x, box, 0, 1.0)
-        tilted = project_to_polynomial(lambda x: x, box, 0, 1.0,
-                                       density=lambda x: 0.25 + 1.5 * x)
-        assert tilted(0.5) > flat(0.5) + 0.01
+        with pytest.raises(ValueError, match="one value per point"):
+            project_to_polynomial(lambda x: 0.5, box, 0, 1.0)
 
     def test_ill_conditioned_signalled(self):
         box = Box.make([0.0], [1.0])
