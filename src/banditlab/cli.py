@@ -56,7 +56,9 @@ def tuning_defaults(config_cls) -> dict:
 def _integer(value, name: str, problems: list, low: int | None = None):
     """value as an int (at least low), or None after recording a problem."""
     try:
-        if float(value).is_integer() and (low is None or int(value) >= low):
+        # A JSON boolean is an int to Python; float(True).is_integer() holds.
+        if (not isinstance(value, bool) and float(value).is_integer()
+                and (low is None or int(value) >= low)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -82,11 +84,15 @@ def load_config(path) -> dict:
     """The JSON object of a config file, not yet checked."""
     p = Path(path)
     try:
-        return json.loads(p.read_text())
+        raw = json.loads(p.read_text())
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {p}")
     except json.JSONDecodeError as e:
         raise ValidationError(f"config parse error at line {e.lineno}: {e.msg}")
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"config file must hold a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def parse_config(path_or_dict) -> dict:

@@ -3,9 +3,9 @@
 Both policies route each arrival to the unique live bin containing the
 covariate, and every bin-level decision (eliminate / split / commit for
 ABSE, round advance / hypothesis test for SACB) depends only on the bin's
-own arrival subsequence.  With covariates and per-(t, arm) reward noise
+own arrival subsequence.  With covariates and per-(t, arm) noise uniforms
 drawn up front, an episode is therefore a deterministic function of the
-pre-drawn arrays and can be replayed bin by bin with numpy, producing the
+pre-drawn streams and can be replayed bin by bin with numpy, producing the
 same action sequence as the sequential policies in `abse.py` / `sacb.py`
 (verified in tests/test_fast_equivalence.py).  The engines call those
 modules' rules (cell_coords, lifetime, radius, round_fires,
@@ -22,6 +22,10 @@ are written by one scatter at the end.  The cost is one sort of n small
 integers plus the tested arrivals (and, for a node of several runs, the
 at most 2 * lifetime candidates per run it merges them from), and the
 per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
+
+The engines read rewards only through `sim.Rewards`, which makes each
+(t, arm) entry on its first read; an episode pays for the rewards its
+tests use, not for the whole (T, 2) table.
 """
 
 from __future__ import annotations
@@ -42,6 +46,14 @@ def _fill_alternation(actions: np.ndarray, idx: np.ndarray) -> None:
     actions[idx[1::2]] = 2
 
 
+def _sort_keys(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """codes in the narrowest unsigned dtype that holds n_codes - 1.
+
+    numpy's stable argsort is a radix sort on 8- and 16-bit keys.
+    """
+    return codes.astype(np.min_scalar_type(n_codes - 1))
+
+
 def _leaf_codes(X: np.ndarray, k0: int) -> np.ndarray:
     """Index of each point's depth-k0 cell in depth-first tree order.
 
@@ -59,11 +71,12 @@ def _leaf_codes(X: np.ndarray, k0: int) -> np.ndarray:
     return code
 
 
-def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Action sequence of ABSE on a pre-drawn (X, Y) stream.
+def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
+    """Action sequence of ABSE on the stream of covariates X and rewards.
 
-    X has shape (n, d); Y has shape (n, 2) holding the reward each arm
-    would give at step t.  Returns int8 actions in {1, 2}.
+    X has shape (n, d); rewards is a `sim.Rewards` over the same n steps,
+    read for the arrivals the elimination tests use.  Returns int8 actions
+    in {1, 2}.
 
     Leaf-run replay: after a stable sort by depth-k0 cell, a node at depth
     k owns 2^(d (k0 - k)) consecutive leaf runs, and the arrivals it has
@@ -80,7 +93,7 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     n = len(X)
     k0 = max_depth(cfg)
     n_leaves = 1 << (cfg.d * k0)
-    leaf = _leaf_codes(X, k0).astype(np.min_scalar_type(n_leaves - 1))
+    leaf = _sort_keys(_leaf_codes(X, k0), n_leaves)
     order = np.argsort(leaf, kind="stable")
     size = np.bincount(leaf, minlength=n_leaves)
     run_end = size.cumsum()
@@ -90,7 +103,6 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     life = [lifetime(cfg, k) for k in range(k0 + 1)]
     pairs = [np.arange(1, min(lf, n // 2) + 1, dtype=np.float64) for lf in life]
     eps = [radius(cfg, k, s) for k, s in enumerate(pairs)]
-    reward = Y[:, 0], Y[:, 1]
     # Per leaf run: where its eliminated or committed suffix begins (the
     # run end while it has none) and the arm that suffix plays.
     tail_start = run_end.copy()
@@ -113,8 +125,8 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             first_m = idx.argsort(kind="stable")[:m]
             pos, which, idx = pos[first_m], which[first_m], idx[first_m]
         p = len(idx) // 2
-        diff = (reward[0][idx[0:2 * p:2]].cumsum()
-                - reward[1][idx[1:2 * p:2]].cumsum()) / pairs[depth][:p]
+        diff = (rewards.read(0, idx[0:2 * p:2]).cumsum()
+                - rewards.read(1, idx[1:2 * p:2]).cumsum()) / pairs[depth][:p]
         fire = np.abs(diff) > eps[depth][:p]
         hit = int(fire.argmax()) if fire.any() else None
         if hit is None and len(idx) < m:
@@ -147,8 +159,8 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return actions
 
 
-def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Action sequence of SACB on a pre-drawn stream.
+def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
+    """Action sequence of SACB on the stream of covariates X and rewards.
 
     Writes each bin's r_last into policy.state and hands off through
     `SacbPolicy.handoff_config`, as the sequential policy does.  When some
@@ -158,8 +170,9 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     n = len(X)
     actions = np.zeros(n, dtype=np.int8)
     part = policy.partition
-    b_idx = np.ravel_multi_index(cell_coords(X, part.per_axis).T,
-                                 (part.per_axis,) * part.d)
+    b_idx = _sort_keys(np.ravel_multi_index(cell_coords(X, part.per_axis).T,
+                                            (part.per_axis,) * part.d),
+                       part.n_bins)
     order = np.argsort(b_idx, kind="stable")
     bounds = np.cumsum([0, *np.bincount(b_idx, minlength=part.n_bins)])
 
@@ -175,7 +188,7 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
         rounds = int(np.searchsorted(cum, len(idx), side="right")) - 1
         for r in range(1, rounds + 1):
             sl = idx[cum[r - 1]:cum[r]]
-            arms = [(X[sl[arm::2]], Y[sl[arm::2], arm]) for arm in (0, 1)]
+            arms = [(X[sl[arm::2]], rewards.read(arm, sl[arm::2])) for arm in (0, 1)]
             if policy.round_fires(bin_id, r, arms):
                 policy.state[bin_id].r_last = r
                 break
@@ -184,19 +197,20 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 
     if t_sacb <= n:
         handoff_cfg = policy.handoff_config(t_sacb)
-        actions[t_sacb:] = abse_actions(handoff_cfg, X[t_sacb:], Y[t_sacb:])
+        actions[t_sacb:] = abse_actions(handoff_cfg, X[t_sacb:], rewards.tail(t_sacb))
     return actions
 
 
-def run_fast(policy, X: np.ndarray, Y: np.ndarray, F: np.ndarray) -> np.ndarray:
+def run_fast(policy, X: np.ndarray, rewards, F: np.ndarray) -> np.ndarray:
     """Actions of a policy built by PolicySpec.build, on its engine.
 
-    F holds the payoffs at X, shape (n, 2); only the oracle reads it.
+    rewards is the `sim.Rewards` of the same n steps.  F holds the payoffs
+    at X, shape (n, 2); only the oracle reads it.
     """
     if isinstance(policy, FixedArmPolicy):
         return np.full(len(X), policy.arm, dtype=np.int8)
     if isinstance(policy, OraclePolicy):
         return np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)
     if isinstance(policy, AbsePolicy):
-        return abse_actions(policy.config, X, Y)
-    return sacb_actions(policy, X, Y)
+        return abse_actions(policy.config, X, rewards)
+    return sacb_actions(policy, X, rewards)

@@ -1,20 +1,23 @@
 """Deterministic episode runner, replicated experiments, and metrics.
 
 Episodes are pure functions of (instance, policy spec, T, seed, rep):
-covariates and per-(t, arm) reward noise are pre-drawn from counter-based
-streams (see rng.py), so replaying a configuration is bit-exact and two
-policies compared at the same (seed, rep) see identical covariates and
-identical counterfactual rewards (paired comparisons / common random
-numbers).  Every episode runs on the vectorized engine of its policy
-(`fast.run_fast`); the sequential policies are the reference those
-engines are tested against.
+covariates and per-(t, arm) noise uniforms are pre-drawn from
+counter-based streams (see rng.py), and each reward is made from its
+uniform on first read (`Rewards`), so replaying a configuration is
+bit-exact and two policies compared at the same (seed, rep) see identical
+covariates and identical counterfactual rewards (paired comparisons /
+common random numbers).  Every episode runs on the vectorized engine of
+its policy (`fast.run_fast`); the sequential policies are the reference
+those engines are tested against.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,33 +52,78 @@ class ExperimentSummary:
     traces: tuple = field(default_factory=tuple)
 
 
-def _draw_rewards(instance: ProblemInstance, F: np.ndarray, seed: int,
-                  rep: int, T: int) -> np.ndarray:
-    Y = np.empty_like(F)
-    if instance.noise[0] == "bernoulli":
-        lo, hi = float(np.min(F)), float(np.max(F))
-        if lo < -1e-12 or hi > 1.0 + 1e-12:
-            raise ValueError(
-                f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
-    for arm in (1, 2):
-        u = rng.noise_uniform_block(seed, rep, T, arm)
-        if instance.noise[0] == "gaussian":
-            Y[:, arm - 1] = F[:, arm - 1] + instance.noise[1] * rng.gaussian_from_uniform(u)
-        elif instance.noise[0] == "bernoulli":
-            Y[:, arm - 1] = (u < F[:, arm - 1]).astype(np.float64)
+class Rewards:
+    """Both arms' rewards at every step, each made on its first read.
+
+    u holds the pre-drawn noise uniforms arm-major, shape (2, T), and is
+    owned by this object.  The first read of entry (arm, t) overwrites
+    u[arm, t] with the reward, F[t, arm] + sigma * ndtri(u) under Gaussian
+    noise or 1{u < F[t, arm]} under Bernoulli noise, and marks it done;
+    later reads, by any policy of the replication, return that value.  A
+    reward thus depends only on its uniform and payoff, never on which
+    policy read it first, and entries nobody reads are never made.
+    """
+
+    def __init__(self, F: np.ndarray, u: np.ndarray, noise: tuple):
+        if noise[0] == "bernoulli":
+            lo, hi = float(np.min(F)), float(np.max(F))
+            if lo < -1e-12 or hi > 1.0 + 1e-12:
+                raise ValueError(
+                    f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
+            self.sigma = None
+        elif noise[0] == "gaussian":
+            self.sigma = noise[1]
         else:
-            raise ValueError(f"unknown noise model {instance.noise!r}")
-    return Y
+            raise ValueError(f"unknown noise model {noise!r}")
+        # Per arm: its uniforms (then rewards), done mask and payoffs.
+        self._arms = tuple(zip(u, np.zeros(u.shape, dtype=bool), F.T))
+
+    def read(self, arm: int, rows: np.ndarray) -> np.ndarray:
+        """Rewards of arm (0 or 1) at the steps rows, an integer array."""
+        u, done, f = self._arms[arm]
+        seen = done[rows]
+        if not seen.all():
+            new = rows[~seen]
+            if self.sigma is None:
+                u[new] = (u[new] < f[new]).astype(np.float64)
+            else:
+                u[new] = f[new] + self.sigma * rng.gaussian_from_uniform(u[new])
+            done[new] = True
+        return u[rows]
+
+    def tail(self, start: int) -> "Rewards":
+        """The rewards of steps start, start + 1, ..., sharing these entries."""
+        view = copy.copy(self)
+        view._arms = tuple((u[start:], done[start:], f[start:])
+                          for u, done, f in self._arms)
+        return view
 
 
-def draw_streams(instance: ProblemInstance, T: int, seed: int, rep: int = 0):
-    """Covariates X, payoffs F and rewards Y of replication (seed, rep).
+class Streams(NamedTuple):
+    """One replication's draws, shared by every policy run on it."""
 
-    Every policy run on that replication sees these same arrays.
+    X: np.ndarray           # covariates, (T, d)
+    F: np.ndarray           # payoffs at X, (T, 2)
+    rewards: Rewards
+    gap1: np.ndarray        # best payoff minus arm 1's, per step
+    gap2: np.ndarray        # best payoff minus arm 2's, per step
+
+
+def draw_streams(instance: ProblemInstance, T: int, seed: int,
+                 rep: int = 0) -> Streams:
+    """Streams of replication (seed, rep).
+
+    Every policy run on that replication reads these same arrays and
+    rewards.
     """
     X = rng.covariate_block(seed, rep, T, instance.d)
     F = instance.payoffs(X)
-    return X, F, _draw_rewards(instance, F, seed, rep, T)
+    u = np.empty((2, T))
+    for arm in (1, 2):
+        u[arm - 1] = rng.noise_uniform_block(seed, rep, T, arm)
+    best = np.maximum(F[:, 0], F[:, 1])
+    return Streams(X, F, Rewards(F, u, instance.noise),
+                   best - F[:, 0], best - F[:, 1])
 
 
 def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
@@ -86,20 +134,20 @@ def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
     The episode runs on the vectorized engine of the policy the spec
     builds.  streams, if given, is draw_streams(instance, T, seed, rep),
     drawn once and shared by the policies of a replication; the arrays are
-    only read.
+    only read, and the rewards only made.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
-    X, F, Y = streams or draw_streams(instance, T, seed, rep)
+    X, F, rewards, gap1, gap2 = streams or draw_streams(instance, T, seed, rep)
     policy = policy_spec.build(instance, T)
-    actions = fast.run_fast(policy, X, Y, F)
+    actions = fast.run_fast(policy, X, rewards, F)
 
-    chosen = np.where(actions == 1, F[:, 0], F[:, 1])
-    best = np.maximum(F[:, 0], F[:, 1])
-    step_regret = best - chosen
-    cum_regret = np.cumsum(step_regret)
-    cum_inferior = np.cumsum(chosen < best)
+    # A step is inferior iff its regret is positive: for finite payoffs
+    # best - chosen > 0 exactly when chosen < best.
+    step = np.where(actions == 1, gap1, gap2)
+    cum_inferior = np.cumsum(step > 0)
+    cum_regret = np.cumsum(step, out=step)
 
     marks = list(range(stride - 1, T, stride))
     if not marks or marks[-1] != T - 1:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from banditlab import fast, rng
+from banditlab import fast
 from banditlab.cli import main as cli_main
 from banditlab.instances import (impossibility_exponent, make_instance,
                                  minimax_exponent)
@@ -267,11 +267,9 @@ def test_criterion_8_determinism(tmp_path):
     inst = make_instance(cfg["instance"], 30_000)
     spec = PolicySpec("sacb", {"gamma": 0.3, "q": 1.4, "upsilon": 1.5,
                                "beta_lo": 0.5, "beta_hi": 1.0})
-    X = rng.covariate_block(5, 0, 30_000, 1)
-    F = inst.payoffs(X[:, 0])
-    Y = sim._draw_rewards(inst, F, 5, 0, 30_000)
-    a1 = fast.run_fast(spec.build(inst, 30_000), X, Y, F)
-    a2 = fast.run_fast(spec.build(inst, 30_000), X, Y, F)
+    X, F, rewards, _, _ = sim.draw_streams(inst, 30_000, 5, 0)
+    a1 = fast.run_fast(spec.build(inst, 30_000), X, rewards, F)
+    a2 = fast.run_fast(spec.build(inst, 30_000), X, rewards, F)
     report("8 (determinism)", [
         ("rerun of identical config produces byte-identical results.csv",
          first == second),

@@ -139,6 +139,13 @@ class TestRun:
                                  "policies": [], "T": 0}))
         assert main(["run", "--config", str(p)]) == 2
 
+    # A top-level list escaped as "TypeError: 'list' object is not a mapping".
+    def test_non_object_config_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1]")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config file must hold a JSON object, got list" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -208,7 +215,7 @@ class TestRun:
     # an unknown instance or override key ran silently with the default,
     # and a missing lower_bound key escaped as a KeyError traceback.  A
     # misspelled top-level key ran with its default, "no" turned traces on,
-    # and 0 or -3 threads ran serially.
+    # 0 or -3 threads ran serially, and true reps or threads ran as 1.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -238,12 +245,15 @@ class TestRun:
         ({"traces": "no"}, "traces must be true or false, got 'no'"),
         ({"threads": 0}, "threads must be an integer >= 1"),
         ({"threads": -3}, "threads must be an integer >= 1"),
+        ({"reps": True}, "reps must be an integer >= 1, got True"),
+        ({"threads": True}, "threads must be an integer >= 1, got True"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
             "instance-beta-range", "sweep-beta-range", "unknown-override",
             "unknown-instance-key", "missing-instance-key", "threds", "rep",
-            "traces-string", "threads-zero", "threads-negative"])
+            "traces-string", "threads-zero", "threads-negative", "reps-bool",
+            "threads-bool"])
     def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
                                                              over, match):
         p = small_config(tmp_path, **over)

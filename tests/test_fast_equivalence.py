@@ -23,6 +23,26 @@ def sequential_actions(policy, X, Y):
     return out
 
 
+def dense_rewards(rewards, T):
+    """The (T, 2) reward table, every entry read from rewards."""
+    rows = np.arange(T)
+    return np.column_stack([rewards.read(arm, rows) for arm in (0, 1)])
+
+
+def engine_then_reference(instance, policy, T, seed):
+    """Engine actions on freshly drawn, unread rewards, then the dense Y.
+
+    The engine runs first, so its reads make the rewards (the miss path);
+    Y comes from a second draw read in one pass, and every entry the engine
+    made must equal it.
+    """
+    X, F, rewards, _, _ = sim.draw_streams(instance, T, seed)
+    actions = fast.run_fast(policy, X, rewards, F)
+    Y = dense_rewards(sim.draw_streams(instance, T, seed).rewards, T)
+    assert np.array_equal(dense_rewards(rewards, T), Y)
+    return X, Y, actions
+
+
 CASES = [
     ({"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}},
      PolicySpec("abse", {"beta": 0.7, "gamma_abse": 2.0}), 20_000),
@@ -87,18 +107,16 @@ CASES.append(DEEP_ABSE)
 @pytest.mark.parametrize("seed", [3, 17])
 def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
     instance = make_instance(inst_spec, T)
-    X, F, Y = sim.draw_streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
     abse_configs = []
     abse_actions = fast.abse_actions
 
-    def recording_abse_actions(cfg, X, Y):
+    def recording_abse_actions(cfg, X, rewards):
         abse_configs.append(cfg)
-        return abse_actions(cfg, X, Y)
+        return abse_actions(cfg, X, rewards)
 
     monkeypatch.setattr(fast, "abse_actions", recording_abse_actions)
-    a_fast = fast.run_fast(fast_pol, X, Y, F)
-    assert a_fast is not None
+    X, Y, a_fast = engine_then_reference(instance, fast_pol, T, seed)
     seq_pol = pspec.build(instance, T)
     a_seq = sequential_actions(seq_pol, X, Y)
     assert np.array_equal(a_fast, a_seq)
@@ -135,11 +153,33 @@ def test_abse_engine_on_cell_edges(d):
     X[:4] = [[0.0] * d, [1.0] * d, [0.5] * d, [0.0] * (d - 1) + [1.0]]
     # Bernoulli rewards whose better arm flips at x_0 = 1/2.
     mean = np.where(X[:, :1] < 0.5, [0.8, 0.3], [0.35, 0.7])
-    Y = (g.random((T, 2)) < mean).astype(np.float64)
+    U = g.random((T, 2))
+    a_fast = fast.abse_actions(cfg, X, sim.Rewards(mean, U.T.copy(), ("bernoulli",)))
     seq_pol = AbsePolicy(cfg)
-    a_seq = sequential_actions(seq_pol, X, Y)
+    a_seq = sequential_actions(seq_pol, X, (U < mean).astype(np.float64))
     assert max(k for k, _ in seq_pol.bins) == k0
-    assert np.array_equal(fast.abse_actions(cfg, X, Y), a_seq)
+    assert np.array_equal(a_fast, a_seq)
+
+
+def test_sacb_engine_with_16_bit_bin_keys():
+    """A partition of 257 bins, so the engine sorts its bin index as uint16.
+
+    q = 257 puts l = 1 and r_bar = 1: every bin tests once, at its 514th
+    arrival, and the handoff comes when the last bin has tested.
+    """
+    T = 160_000
+    instance = make_power_payoff(0.6, 1.0)
+    pspec = PolicySpec("sacb", {"gamma": 0.05, "q": 257.0, "upsilon": 0.0,
+                                "beta_lo": 0.5, "beta_hi": 0.5})
+    fast_pol = pspec.build(instance, T)
+    n_bins = fast_pol.partition.n_bins
+    assert fast._sort_keys(np.arange(n_bins), n_bins).dtype == np.uint16
+    X, Y, a_fast = engine_then_reference(instance, fast_pol, T, 3)
+    seq_pol = pspec.build(instance, T)
+    assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
+    assert fast_pol.t_sacb is not None and fast_pol.t_sacb == seq_pol.t_sacb
+    assert [st.r_last for st in fast_pol.state.values()] == \
+           [st.r_last for st in seq_pol.state.values()]
 
 
 def test_sacb_starved_stream_never_hands_off():
@@ -147,9 +187,8 @@ def test_sacb_starved_stream_never_hands_off():
     pspec = PolicySpec("sacb", {"gamma": 1e9, "q": 1.5, "upsilon": 2.5,
                                 "beta_lo": 0.6, "beta_hi": 1.0})
     T = 2_000  # far too short to finish the round schedule
-    X, F, Y = sim.draw_streams(instance, T, 5)
     fast_pol = pspec.build(instance, T)
-    a_fast = fast.run_fast(fast_pol, X, Y, F)
+    X, Y, a_fast = engine_then_reference(instance, fast_pol, T, 5)
     seq_pol = pspec.build(instance, T)
     a_seq = sequential_actions(seq_pol, X, Y)
     assert np.array_equal(a_fast, a_seq)
@@ -164,8 +203,8 @@ def test_run_episode_paths_agree():
                               "overrides": {"M": 8.0}}, T)
     pspec = PolicySpec("abse", {"beta": 0.8, "gamma_abse": 2.0})
     trace = sim.run_episode(instance, pspec, T, seed)
-    X, F, Y = sim.draw_streams(instance, T, seed)
-    actions = sequential_actions(pspec.build(instance, T), X, Y)
+    X, F, rewards, _, _ = sim.draw_streams(instance, T, seed)
+    actions = sequential_actions(pspec.build(instance, T), X, dense_rewards(rewards, T))
     chosen = F[np.arange(T), actions - 1]
     best = F.max(axis=1)
     assert trace.final_regret == pytest.approx(np.sum(best - chosen), rel=1e-12)
@@ -222,10 +261,9 @@ def engine_cases(draw):
 def test_engine_matches_sequential_fuzz(case):
     inst_spec, pspec, T, seed = case
     instance = make_instance(inst_spec, T)
-    X, F, Y = sim.draw_streams(instance, T, seed)
     fast_pol = pspec.build(instance, T)
     with mock.patch.object(fast, "abse_actions", wraps=fast.abse_actions) as spy:
-        a_fast = fast.run_fast(fast_pol, X, Y, F)
+        X, Y, a_fast = engine_then_reference(instance, fast_pol, T, seed)
     seq_pol = pspec.build(instance, T)
     assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
     if pspec.kind == "sacb":

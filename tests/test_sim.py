@@ -2,11 +2,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from banditlab import rng
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
 from banditlab.policies import PolicySpec
-from banditlab.sim import RegretTrace, run_episode, run_experiment, summarize
+from banditlab.sim import (RegretTrace, Rewards, run_episode, run_experiment,
+                           summarize)
 
 
 def flat_instance():
@@ -73,6 +75,51 @@ class TestEpisode:
         assert a == b
 
 
+class TestRewards:
+    @pytest.mark.parametrize("noise", [("gaussian", 0.3), ("bernoulli",)])
+    def test_reads_equal_eager_rewards(self, noise):
+        # Every read, in any order, overlapping earlier reads, repeated, or
+        # through a tail view, returns the reward the eager formula gives;
+        # and each entry is made once, the tail's too.
+        T, start = 2_000, 1_300
+        g = np.random.default_rng(5)
+        F = g.random((T, 2))
+        u = rng.open_uniforms(g, 2 * T).reshape(2, T)
+        if noise[0] == "gaussian":
+            want = F + noise[1] * ndtri(u.T)
+        else:
+            want = (u.T < F).astype(np.float64)
+        rewards = Rewards(F, u.copy(), noise)
+        tail = rewards.tail(start)
+        shuffled = g.permutation(T)
+        reads = [
+            (rewards, 0, shuffled[:700]),
+            (rewards, 1, shuffled[:700:3]),
+            (rewards, 0, shuffled[500:1500]),       # overlaps the first read
+            (rewards, 0, np.repeat(shuffled[:700:7], 3)),  # made, read again
+            (tail, 1, g.permutation(T - start)),
+            (tail, 0, np.array([], dtype=np.int64)),
+            (rewards, 1, shuffled),                  # partly made by the tail
+            (rewards, 0, np.arange(T)),
+        ]
+        with mock.patch.object(rng, "gaussian_from_uniform",
+                               wraps=rng.gaussian_from_uniform) as made:
+            for source, arm, rows in reads:
+                offset = start if source is tail else 0
+                assert np.array_equal(source.read(arm, rows),
+                                      want[rows + offset, arm])
+        n_made = sum(len(call.args[0]) for call in made.call_args_list)
+        assert n_made == (2 * T if noise[0] == "gaussian" else 0)
+
+    def test_rejects_bad_noise(self):
+        F = np.full((10, 2), 0.5)
+        u = np.full((2, 10), 0.5)
+        with pytest.raises(ValueError, match="unknown noise"):
+            Rewards(F, u, ("cauchy", 1.0))
+        with pytest.raises(ValueError, match="Bernoulli"):
+            Rewards(F + 1.0, u, ("bernoulli",))
+
+
 class TestSummarize:
     def _mk(self, vals):
         return [RegretTrace(checkpoints=(), final_regret=v, inferior_count=0,
@@ -107,6 +154,21 @@ class TestExperiment:
         assert a.mean_regret == b.mean_regret
         assert [t.final_regret for t in a.traces] == \
                [t.final_regret for t in b.traces]
+
+    def test_policy_order_changes_no_trace(self):
+        # The policies of a replication share its rewards, each made by
+        # whichever policy reads it first; reversing them changes nothing.
+        spec = {"kind": "power", "beta": 0.6, "delta": 1.0}
+        policies = [PolicySpec("sacb", {"gamma": 0.5, "q": 1.5, "upsilon": 2.5,
+                                        "beta_lo": 0.6, "beta_hi": 1.0}),
+                    PolicySpec("abse", {"beta": 0.5}),
+                    PolicySpec("abse", {"beta": 0.9, "gamma_abse": 0.5})]
+        forward = run_experiment(spec, policies, 30_000, reps=2, base_seed=14)
+        reverse = run_experiment(spec, policies[::-1], 30_000, reps=2,
+                                 base_seed=14)
+        assert list(reverse) == list(forward)[::-1]
+        for label, summary in forward.items():
+            assert reverse[label].traces == summary.traces
 
     def test_parallel_equals_serial(self):
         spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
