@@ -82,7 +82,7 @@ class Rewards:
         """Rewards of arm (0 or 1) at the steps rows, an integer array."""
         u, done, f = self._arms[arm]
         seen = done[rows]
-        if not seen.all():
+        if np.count_nonzero(seen) < len(rows):
             new = rows[~seen]
             if self.sigma is None:
                 u[new] = (u[new] < f[new]).astype(np.float64)
@@ -105,8 +105,6 @@ class Streams(NamedTuple):
     X: np.ndarray           # covariates, (T, d)
     F: np.ndarray           # payoffs at X, (T, 2)
     rewards: Rewards
-    gap1: np.ndarray        # best payoff minus arm 1's, per step
-    gap2: np.ndarray        # best payoff minus arm 2's, per step
 
 
 def draw_streams(instance: ProblemInstance, T: int, seed: int,
@@ -121,9 +119,7 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int,
     u = np.empty((2, T))
     for arm in (1, 2):
         u[arm - 1] = rng.noise_uniform_block(seed, rep, T, arm)
-    best = np.maximum(F[:, 0], F[:, 1])
-    return Streams(X, F, Rewards(F, u, instance.noise),
-                   best - F[:, 0], best - F[:, 1])
+    return Streams(X, F, Rewards(F, u, instance.noise))
 
 
 def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
@@ -139,14 +135,18 @@ def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
-    X, F, rewards, gap1, gap2 = streams or draw_streams(instance, T, seed, rep)
+    X, F, rewards = streams or draw_streams(instance, T, seed, rep)
     policy = policy_spec.build(instance, T)
     actions = fast.run_fast(policy, X, rewards, F)
 
-    # A step is inferior iff its regret is positive: for finite payoffs
-    # best - chosen > 0 exactly when chosen < best.
-    step = np.where(actions == 1, gap1, gap2)
-    cum_inferior = np.cumsum(step > 0)
+    # A step is inferior iff the other arm pays strictly more.  Its regret,
+    # best - chosen, is then |F0 - F1| bit for bit, and +0.0 otherwise.
+    diff = F[:, 0] - F[:, 1]
+    inferior = (diff < 0) == (actions == 1)
+    inferior &= diff != 0
+    step = np.abs(diff, out=diff)
+    step *= inferior
+    cum_inferior = np.cumsum(inferior)
     cum_regret = np.cumsum(step, out=step)
 
     marks = list(range(stride - 1, T, stride))

@@ -267,7 +267,7 @@ def test_criterion_8_determinism(tmp_path):
     inst = make_instance(cfg["instance"], 30_000)
     spec = PolicySpec("sacb", {"gamma": 0.3, "q": 1.4, "upsilon": 1.5,
                                "beta_lo": 0.5, "beta_hi": 1.0})
-    X, F, rewards, _, _ = sim.draw_streams(inst, 30_000, 5, 0)
+    X, F, rewards = sim.draw_streams(inst, 30_000, 5, 0)
     a1 = fast.run_fast(spec.build(inst, 30_000), X, rewards, F)
     a2 = fast.run_fast(spec.build(inst, 30_000), X, rewards, F)
     report("8 (determinism)", [

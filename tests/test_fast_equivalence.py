@@ -36,7 +36,7 @@ def engine_then_reference(instance, policy, T, seed):
     Y comes from a second draw read in one pass, and every entry the engine
     made must equal it.
     """
-    X, F, rewards, _, _ = sim.draw_streams(instance, T, seed)
+    X, F, rewards = sim.draw_streams(instance, T, seed)
     actions = fast.run_fast(policy, X, rewards, F)
     Y = dense_rewards(sim.draw_streams(instance, T, seed).rewards, T)
     assert np.array_equal(dense_rewards(rewards, T), Y)
@@ -164,6 +164,7 @@ def test_abse_engine_on_cell_edges(d):
 def test_sacb_engine_with_16_bit_bin_keys():
     """A partition of 257 bins, so the engine sorts its bin index as uint16.
 
+    A key type too narrow for the bin count would wrap and merge bins.
     q = 257 puts l = 1 and r_bar = 1: every bin tests once, at its 514th
     arrival, and the handoff comes when the last bin has tested.
     """
@@ -172,9 +173,11 @@ def test_sacb_engine_with_16_bit_bin_keys():
     pspec = PolicySpec("sacb", {"gamma": 0.05, "q": 257.0, "upsilon": 0.0,
                                 "beta_lo": 0.5, "beta_hi": 0.5})
     fast_pol = pspec.build(instance, T)
-    n_bins = fast_pol.partition.n_bins
-    assert fast._sort_keys(np.arange(n_bins), n_bins).dtype == np.uint16
-    X, Y, a_fast = engine_then_reference(instance, fast_pol, T, 3)
+    assert fast_pol.partition.n_bins == 257
+    with mock.patch.object(fast.np, "argsort", wraps=np.argsort) as spy:
+        X, Y, a_fast = engine_then_reference(instance, fast_pol, T, 3)
+    # The engine's first sort is of its bin index.
+    assert spy.call_args_list[0].args[0].dtype == np.uint16
     seq_pol = pspec.build(instance, T)
     assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
     assert fast_pol.t_sacb is not None and fast_pol.t_sacb == seq_pol.t_sacb
@@ -203,7 +206,7 @@ def test_run_episode_paths_agree():
                               "overrides": {"M": 8.0}}, T)
     pspec = PolicySpec("abse", {"beta": 0.8, "gamma_abse": 2.0})
     trace = sim.run_episode(instance, pspec, T, seed)
-    X, F, rewards, _, _ = sim.draw_streams(instance, T, seed)
+    X, F, rewards = sim.draw_streams(instance, T, seed)
     actions = sequential_actions(pspec.build(instance, T), X, dense_rewards(rewards, T))
     chosen = F[np.arange(T), actions - 1]
     best = F.max(axis=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from banditlab import rng
+from banditlab import fast, rng
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
 from banditlab.policies import PolicySpec
 from banditlab.sim import (RegretTrace, Rewards, run_episode, run_experiment,
@@ -52,6 +52,26 @@ class TestEpisode:
         # per-step regret in [0, 1/2]: sd of the sum <= sqrt(T)/2
         sd_bound = 3.0 * np.sqrt(T) / 2.0
         assert abs(tr.final_regret - want) <= sd_bound
+
+    def test_regret_is_best_minus_chosen_bit_for_bit(self):
+        # The arms tie on [0.3, 0.7]; the actions are arbitrary.
+        inst = ProblemInstance(
+            "tie", 1,
+            f1=lambda x: np.asarray(x, float),
+            f2=lambda x: np.clip(np.asarray(x, float), 0.3, 0.7),
+            noise=("gaussian", 0.05))
+        T = 2_000
+        actions = np.random.default_rng(6).integers(1, 3, T).astype(np.int8)
+        with mock.patch.object(fast, "run_fast", return_value=actions):
+            tr = run_episode(inst, PolicySpec("fixed", {"arm": 1}), T, seed=6,
+                             checkpoint_stride=1)
+        F = inst.payoffs(rng.covariate_block(6, 0, T, 1))
+        chosen = F[np.arange(T), actions - 1]
+        best = np.maximum(F[:, 0], F[:, 1])
+        assert (F[:, 0] == F[:, 1]).any() and (chosen < best).any()
+        assert tr.checkpoints == tuple(zip(
+            range(1, T + 1), np.cumsum(best - chosen).tolist(),
+            np.cumsum(chosen < best).tolist()))
 
     def test_checkpoints_monotone(self):
         inst = make_power_payoff(0.6, 1.0)
@@ -215,7 +235,7 @@ class TestExperiment:
 
     def test_covariates_policy_independent(self):
         # the covariate stream depends only on (seed, rep), never on actions
-        from banditlab import rng
+        from banditlab import fast, rng
         a = rng.covariate_block(99, 3, 1000, 1)
         b = rng.covariate_block(99, 3, 1000, 1)
         assert np.array_equal(a, b)
