@@ -23,6 +23,13 @@ integers plus the tested arrivals (and, for a node of several runs, the
 at most 2 * lifetime candidates per run it merges them from), and the
 per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
 
+SACB's estimation phase is replayed from a bin-sorted index of a stream
+prefix: a bin's rounds read at most its first cum[r_bar] arrivals (cum
+the running total of round sizes), so once every bin has that many, the
+estimation has ended and every later step is ABSE's.  The engine bins
+the first 2 * n_bins * cum[r_bar] steps and doubles the prefix until it
+holds that many arrivals of every bin, or is the whole stream.
+
 The engines read rewards only through `sim.Rewards`, which makes each
 (t, arm) entry on its first read; an episode pays for the rewards its
 tests use, not for the whole (T, 2) table.
@@ -166,19 +173,40 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     `SacbPolicy.handoff_config`, as the sequential policy does.  When some
     bin never completes its rounds the estimation phase runs to the end of
     the stream and no handoff happens.
+
+    Only a prefix of the stream is binned, sorted and alternated: the
+    shortest of n_0 = 2 * n_bins * cum[r_bar], 2 n_0, 4 n_0, ... and n in
+    which every bin has cum[r_bar] arrivals, the most its r_bar rounds can
+    read.  That is exact: each bin's rounds, and so its r_last and the step
+    its estimation ends, are read from its first cum[r_bar] arrivals, so
+    t_sacb falls inside the prefix, and before t_sacb every arrival plays
+    the alternation of its bin's arrivals so far.  The steps from t_sacb on
+    are ABSE's.  A bin starved of arrivals takes the prefix to the whole
+    stream, where t_sacb is decided as before.
     """
     n = len(X)
     actions = np.zeros(n, dtype=np.int8)
     part = policy.partition
-    b_idx = _sort_keys(np.ravel_multi_index(cell_coords(X, part.per_axis).T,
-                                            (part.per_axis,) * part.d),
-                       part.n_bins)
-    order = np.argsort(b_idx, kind="stable")
-    bounds = np.cumsum([0, *np.bincount(b_idx, minlength=part.n_bins)])
-
     r_bar = policy.levels.r_bar
     cum = np.cumsum([0] + [2 * round_samples(policy.config.q, r)
                            for r in range(1, r_bar + 1)])
+
+    # The prefix grows as the docstring says; each pass bins only the
+    # steps it adds.
+    codes, size = [], np.zeros(part.n_bins, dtype=np.int64)
+    m, stop = 0, min(n, 2 * part.n_bins * cum[r_bar])
+    while True:
+        codes.append(_sort_keys(np.ravel_multi_index(
+            cell_coords(X[m:stop], part.per_axis).T, (part.per_axis,) * part.d),
+            part.n_bins))
+        size += np.bincount(codes[-1], minlength=part.n_bins)
+        m, stop = stop, min(n, 2 * stop)
+        if m == n or size.min() >= cum[r_bar]:
+            break
+    b_idx = np.concatenate(codes)
+    order = np.argsort(b_idx, kind="stable")
+    bounds = np.concatenate([[0], size.cumsum()])
+
     # Steps of the estimation phase; n + 1 while some bin is unfinished.
     t_sacb = 0
     for flat, bin_id in enumerate(part.bin_ids()):

@@ -49,9 +49,14 @@ def stream(base_seed: int, *tokens: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(base_seed, *tokens)))
 
 
-def open_uniforms(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n uniforms in the open interval (0, 1), safe for inverse-CDF maps."""
-    return gen.integers(1, 1 << 53, size=n).astype(np.float64) / float(1 << 53)
+def open_uniforms(gen: np.random.Generator, n: int, out=None) -> np.ndarray:
+    """n uniforms in the open interval (0, 1), safe for inverse-CDF maps.
+
+    Integers in [1, 2^53) scaled by 2^-53, written into out if given (a
+    float64 array of n entries).  Both steps are exact: int64 -> float64
+    below 2^53 and division by a power of two.
+    """
+    return np.divide(gen.integers(1, 1 << 53, size=n), float(1 << 53), out=out)
 
 
 def covariate_block(base_seed: int, rep: int, T: int, d: int) -> np.ndarray:
@@ -60,10 +65,11 @@ def covariate_block(base_seed: int, rep: int, T: int, d: int) -> np.ndarray:
     return open_uniforms(gen, T * d).reshape(T, d)
 
 
-def noise_uniform_block(base_seed: int, rep: int, T: int, arm: int) -> np.ndarray:
-    """Per-step uniform draws for one arm's reward channel."""
+def noise_uniform_block(base_seed: int, rep: int, T: int, arm: int, *,
+                        out=None) -> np.ndarray:
+    """Per-step uniform draws for one arm's reward channel, into out if given."""
     gen = stream(base_seed, rep, TAG_NOISE + arm)
-    return open_uniforms(gen, T)
+    return open_uniforms(gen, T, out=out)
 
 
 def gaussian_from_uniform(u: np.ndarray) -> np.ndarray:

@@ -118,7 +118,7 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int,
     F = instance.payoffs(X)
     u = np.empty((2, T))
     for arm in (1, 2):
-        u[arm - 1] = rng.noise_uniform_block(seed, rep, T, arm)
+        rng.noise_uniform_block(seed, rep, T, arm, out=u[arm - 1])
     return Streams(X, F, Rewards(F, u, instance.noise))
 
 
@@ -141,24 +141,27 @@ def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
 
     # A step is inferior iff the other arm pays strictly more.  Its regret,
     # best - chosen, is then |F0 - F1| bit for bit, and +0.0 otherwise.
+    # The sums run over the inferior steps t alone: a skipped +0.0 term
+    # leaves the non-negative running sum's bits unchanged (x + 0.0 == x),
+    # and the inferior count at step m is the number of t <= m.
     diff = F[:, 0] - F[:, 1]
     inferior = (diff < 0) == (actions == 1)
     inferior &= diff != 0
-    step = np.abs(diff, out=diff)
-    step *= inferior
-    cum_inferior = np.cumsum(inferior)
-    cum_regret = np.cumsum(step, out=step)
+    t = np.flatnonzero(inferior)
+    cum_regret = np.zeros(len(t) + 1)       # cum_regret[k]: first k inferior steps
+    np.cumsum(np.abs(diff[t]), out=cum_regret[1:])
 
     marks = list(range(stride - 1, T, stride))
     if not marks or marks[-1] != T - 1:
         marks.append(T - 1)
+    counts = np.searchsorted(t, marks, side="right")
     checkpoints = tuple(
-        (m + 1, float(cum_regret[m]), int(cum_inferior[m])) for m in marks
+        (m + 1, float(cum_regret[k]), int(k)) for m, k in zip(marks, counts)
     )
     return RegretTrace(
         checkpoints=checkpoints,
         final_regret=float(cum_regret[-1]),
-        inferior_count=int(cum_inferior[-1]),
+        inferior_count=len(t),
         t_sacb=getattr(policy, "t_sacb", None),
         beta_hat=getattr(policy, "beta_hat", None),
         seed=seed,

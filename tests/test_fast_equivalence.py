@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from banditlab import fast
+from banditlab import fast, rng
 from banditlab.abse import AbseConfig, AbsePolicy, max_depth
 from banditlab.instances import make_instance, make_power_payoff
 from banditlab.partition import cells_per_axis, sacb_levels
@@ -196,6 +196,88 @@ def test_sacb_starved_stream_never_hands_off():
     a_seq = sequential_actions(seq_pol, X, Y)
     assert np.array_equal(a_fast, a_seq)
     assert fast_pol.t_sacb is None and seq_pol.t_sacb is None
+
+
+# q = 2, upsilon = 1 at T = 20k: 2 bins, [0, 1/2) and [1/2, 1], whose 6
+# rounds read at most their first cum[r_bar] = 252 arrivals, so the engine
+# first bins 2 * 2 * 252 = 1008 steps.  At gamma = 0.2 one bin's test
+# fires (round 5 on the streams below) and the other runs all 6 rounds.
+PREFIX_SACB = PolicySpec("sacb", {"gamma": 0.2, "q": 2.0, "upsilon": 1.0,
+                                  "beta_lo": 0.6, "beta_hi": 1.0})
+
+
+def sacb_engine_against_sequential(pspec, T, X, u):
+    """Engine and sequential SACB on covariates X and noise uniforms u.
+
+    Asserts equal actions, t_sacb, beta_hat and r_last of every bin.
+    Returns the engine's policy, the sizes of the covariate blocks the
+    engine binned before its handoff, and the length of the stream it
+    handed to ABSE (None when it did not hand off).
+    """
+    instance = make_power_payoff(0.6, 1.0)
+    F = instance.payoffs(X)
+    fast_pol = pspec.build(instance, T)
+    binned, handed = [], []
+    cell_coords, abse_actions = fast.cell_coords, fast.abse_actions
+
+    def spy_cell_coords(points, n):
+        if not handed:
+            binned.append(len(points))
+        return cell_coords(points, n)
+
+    def spy_abse_actions(cfg, X, rewards):
+        handed.append(len(X))
+        return abse_actions(cfg, X, rewards)
+
+    with mock.patch.object(fast, "cell_coords", spy_cell_coords), \
+            mock.patch.object(fast, "abse_actions", spy_abse_actions):
+        a_fast = fast.sacb_actions(fast_pol, X, sim.Rewards(F, u.copy(), instance.noise))
+    Y = dense_rewards(sim.Rewards(F, u.copy(), instance.noise), len(X))
+    seq_pol = pspec.build(instance, T)
+    assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
+    assert fast_pol.t_sacb == seq_pol.t_sacb
+    assert fast_pol.beta_hat == seq_pol.beta_hat
+    assert [st.r_last for st in fast_pol.state.values()] == \
+           [st.r_last for st in seq_pol.state.values()]
+    return fast_pol, binned, (handed or [None])[0]
+
+
+def drawn_stream(T, seed):
+    """Covariates and both arms' noise uniforms of replication (seed, 0)."""
+    return (rng.covariate_block(seed, 0, T, 1),
+            np.stack([rng.noise_uniform_block(seed, 0, T, arm) for arm in (1, 2)]))
+
+
+def test_sacb_engine_bins_a_prefix():
+    T = 20_000
+    pol, binned, handed = sacb_engine_against_sequential(
+        PREFIX_SACB, T, *drawn_stream(T, 7))
+    assert binned == [1008]
+    assert pol.t_sacb is not None and handed == T - pol.t_sacb
+
+
+def test_sacb_engine_grows_its_prefix():
+    # The first 1008 arrivals all fall in bin 0, so bin 1 is empty in the
+    # first prefix and the engine doubles it once.
+    T = 20_000
+    g = np.random.default_rng(9)
+    X = g.random((T, 1))
+    X[:1008] *= 0.5
+    pol, binned, handed = sacb_engine_against_sequential(
+        PREFIX_SACB, T, X, g.random((2, T)))
+    assert binned == [1008, 1008]
+    assert pol.t_sacb is not None and handed == T - pol.t_sacb
+
+
+def test_sacb_engine_hands_off_on_the_last_step():
+    # Cut the stream where the last bin closes its last round: the
+    # estimation ends on the final step and ABSE gets an empty stream.
+    T = 20_000
+    X, u = drawn_stream(T, 7)
+    t_sacb = sacb_engine_against_sequential(PREFIX_SACB, T, X, u)[0].t_sacb
+    pol, binned, handed = sacb_engine_against_sequential(
+        PREFIX_SACB, T, X[:t_sacb], u[:, :t_sacb])
+    assert pol.t_sacb == t_sacb and handed == 0
 
 
 def test_run_episode_paths_agree():

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -54,24 +55,44 @@ class TestEpisode:
         assert abs(tr.final_regret - want) <= sd_bound
 
     def test_regret_is_best_minus_chosen_bit_for_bit(self):
-        # The arms tie on [0.3, 0.7]; the actions are arbitrary.
+        # The arms tie on [0.3, 0.7].  "arbitrary" plays random arms,
+        # "none" never plays an inferior arm (random arms on ties), and
+        # "ends" is inferior at t = 0 and t = T - 1 only.  Strides 7 and
+        # 300 do not divide T.  Every checkpoint must equal the naive cumsum
+        # of best - chosen to the bit, +0.0 included (reprs tell -0.0 apart).
         inst = ProblemInstance(
             "tie", 1,
             f1=lambda x: np.asarray(x, float),
             f2=lambda x: np.clip(np.asarray(x, float), 0.3, 0.7),
             noise=("gaussian", 0.05))
-        T = 2_000
-        actions = np.random.default_rng(6).integers(1, 3, T).astype(np.int8)
-        with mock.patch.object(fast, "run_fast", return_value=actions):
-            tr = run_episode(inst, PolicySpec("fixed", {"arm": 1}), T, seed=6,
-                             checkpoint_stride=1)
+        T = 1_999
         F = inst.payoffs(rng.covariate_block(6, 0, T, 1))
-        chosen = F[np.arange(T), actions - 1]
         best = np.maximum(F[:, 0], F[:, 1])
-        assert (F[:, 0] == F[:, 1]).any() and (chosen < best).any()
-        assert tr.checkpoints == tuple(zip(
-            range(1, T + 1), np.cumsum(best - chosen).tolist(),
-            np.cumsum(chosen < best).tolist()))
+        assert (F[:, 0] == F[:, 1]).any()
+        arbitrary = np.random.default_rng(6).integers(1, 3, T).astype(np.int8)
+        better = np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)
+        ends = better.copy()
+        ends[[0, -1]] = 3 - ends[[0, -1]]
+        cases = [(arbitrary, lambda t: len(t) > 2),
+                 (np.where(F[:, 0] == F[:, 1], arbitrary, better),
+                  lambda t: len(t) == 0),
+                 (ends, lambda t: t.tolist() == [0, T - 1])]
+        for (actions, shape), stride in itertools.product(cases, [1, 7, 300]):
+            with mock.patch.object(fast, "run_fast", return_value=actions):
+                tr = run_episode(inst, PolicySpec("fixed", {"arm": 1}), T, seed=6,
+                                 checkpoint_stride=stride)
+            chosen = F[np.arange(T), actions - 1]
+            inferior = chosen < best
+            assert shape(np.flatnonzero(inferior))
+            marks = list(range(stride - 1, T, stride))
+            if marks[-1] != T - 1:
+                marks.append(T - 1)
+            want = tuple(zip([m + 1 for m in marks],
+                             np.cumsum(best - chosen)[marks].tolist(),
+                             np.cumsum(inferior)[marks].tolist()))
+            assert repr(tr.checkpoints) == repr(want)
+            assert repr(tr.final_regret) == repr(want[-1][1])
+            assert tr.inferior_count == want[-1][2]
 
     def test_checkpoints_monotone(self):
         inst = make_power_payoff(0.6, 1.0)
