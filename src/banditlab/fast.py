@@ -23,12 +23,16 @@ integers plus the tested arrivals (and, for a node of several runs, the
 at most 2 * lifetime candidates per run it merges them from), and the
 per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
 
-SACB's estimation phase is replayed from a bin-sorted index of a stream
-prefix: a bin's rounds read at most its first cum[r_bar] arrivals (cum
-the running total of round sizes), so once every bin has that many, the
-estimation has ended and every later step is ABSE's.  The engine bins
-the first 2 * n_bins * cum[r_bar] steps and doubles the prefix until it
-holds that many arrivals of every bin, or is the whole stream.
+SACB's estimation phase is replayed round by round from a bin-sorted
+index of a stream prefix.  Round r of a bin reads its arrivals cum[r - 1]
+to cum[r] (cum the running total of round sizes), and one `round_fires`
+call tests every bin still testing in round r.  The prefix starts at
+2 * n_bins * cum[1] steps and doubles only until every bin still testing
+has cum[r] arrivals, or it is the whole stream; a bin that fired, ran
+out of rounds or ran out of arrivals asks for no more.  That is exact
+because a bin's tests read nothing past its cum[r_end] arrivals, the last
+of which ends its estimation, so t_sacb lies inside the prefix and every
+later step is ABSE's.
 
 The engines read rewards only through `sim.Rewards`, which makes each
 (t, arm) entry on its first read; an episode pays for the rewards its
@@ -53,29 +57,43 @@ def _fill_alternation(actions: np.ndarray, idx: np.ndarray) -> None:
     actions[idx[1::2]] = 2
 
 
-def _sort_keys(codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """codes in the narrowest unsigned dtype that holds n_codes - 1.
+def _key_dtype(n_codes: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds n_codes - 1.
 
     numpy's stable argsort is a radix sort on 8- and 16-bit keys.
     """
-    return codes.astype(np.min_scalar_type(n_codes - 1))
+    return np.min_scalar_type(n_codes - 1)
 
 
-def _leaf_codes(X: np.ndarray, k0: int) -> np.ndarray:
-    """Index of each point's depth-k0 cell in depth-first tree order.
+# Points keyed per cell_coords call: bounds its float64 and int64
+# temporaries, which would otherwise each be as long as the stream.
+_KEY_BLOCK = 1 << 16
+
+
+def _leaf_codes(X: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's depth-k0 cell in depth-first tree order, and cell counts.
 
     In d >= 2 the axes' cell bits are interleaved (a Morton code), axis 0
     most significant, as AbsePolicy orders a split's children; so the
-    leaves of any cell at any depth form one contiguous block.
+    leaves of any cell at any depth form one contiguous block.  The codes
+    come in the key dtype of the 2^(d k0) leaves and are made, and
+    counted, _KEY_BLOCK points at a time (np.bincount would widen a
+    narrow key array to intp).
     """
-    coords = cell_coords(X, 1 << k0)
-    if coords.shape[1] == 1:
-        return coords[:, 0]
-    code = np.zeros(len(X), dtype=np.int64)
-    for bit in range(k0 - 1, -1, -1):
-        for col in coords.T:
-            code = 2 * code + ((col >> bit) & 1)
-    return code
+    n_leaves = 1 << (X.shape[1] * k0)
+    codes = np.empty(len(X), dtype=_key_dtype(n_leaves))
+    size = np.zeros(n_leaves, dtype=np.int64)
+    for start in range(0, len(X), _KEY_BLOCK):
+        coords = cell_coords(X[start:start + _KEY_BLOCK], 1 << k0)
+        code = coords[:, 0]
+        if coords.shape[1] > 1:
+            code = np.zeros(len(coords), dtype=np.int64)
+            for bit in range(k0 - 1, -1, -1):
+                for col in coords.T:
+                    code = 2 * code + ((col >> bit) & 1)
+        codes[start:start + _KEY_BLOCK] = code
+        size += np.bincount(code, minlength=n_leaves)
+    return codes, size
 
 
 def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
@@ -100,9 +118,8 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
     n = len(X)
     k0 = max_depth(cfg)
     n_leaves = 1 << (cfg.d * k0)
-    leaf = _sort_keys(_leaf_codes(X, k0), n_leaves)
+    leaf, size = _leaf_codes(X, k0)
     order = np.argsort(leaf, kind="stable")
-    size = np.bincount(leaf, minlength=n_leaves)
     run_end = size.cumsum()
     run_start = run_end - size
     # Each depth's rules: pairs per lifetime, and the radius after
@@ -174,58 +191,67 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     bin never completes its rounds the estimation phase runs to the end of
     the stream and no handoff happens.
 
-    Only a prefix of the stream is binned, sorted and alternated: the
-    shortest of n_0 = 2 * n_bins * cum[r_bar], 2 n_0, 4 n_0, ... and n in
-    which every bin has cum[r_bar] arrivals, the most its r_bar rounds can
-    read.  That is exact: each bin's rounds, and so its r_last and the step
-    its estimation ends, are read from its first cum[r_bar] arrivals, so
-    t_sacb falls inside the prefix, and before t_sacb every arrival plays
-    the alternation of its bin's arrivals so far.  The steps from t_sacb on
-    are ABSE's.  A bin starved of arrivals takes the prefix to the whole
-    stream, where t_sacb is decided as before.
+    The rounds run in order, and round r tests, in one `round_fires` call,
+    every bin that has neither fired nor run out of arrivals.  Only a
+    prefix of the stream is binned, sorted and alternated: it starts at
+    2 * n_bins * cum[1] steps and doubles, before round r, until every bin
+    still testing has cum[r] arrivals or the prefix is the whole stream.
+    That is exact: a bin's round r reads its arrivals cum[r - 1] to
+    cum[r], so every bin is tested on the arrivals the sequential policy
+    tests it on, and the step its estimation ends, its cum[r_end]-th
+    arrival, lies inside the prefix; so does t_sacb, the last of them.
+    Before t_sacb every arrival plays the alternation of its bin's
+    arrivals so far; the steps from t_sacb on are ABSE's.  A bin starved
+    of arrivals takes the prefix to the whole stream and stops testing;
+    then t_sacb is None.
     """
     n = len(X)
     actions = np.zeros(n, dtype=np.int8)
     part = policy.partition
+    bin_ids = list(part.bin_ids())
     r_bar = policy.levels.r_bar
     cum = np.cumsum([0] + [2 * round_samples(policy.config.q, r)
                            for r in range(1, r_bar + 1)])
 
-    # The prefix grows as the docstring says; each pass bins only the
-    # steps it adds.
+    # The binned prefix X[:m], its bin sizes, and its bin-sorted index.
     codes, size = [], np.zeros(part.n_bins, dtype=np.int64)
-    m, stop = 0, min(n, 2 * part.n_bins * cum[r_bar])
-    while True:
-        codes.append(_sort_keys(np.ravel_multi_index(
-            cell_coords(X[m:stop], part.per_axis).T, (part.per_axis,) * part.d),
-            part.n_bins))
-        size += np.bincount(codes[-1], minlength=part.n_bins)
-        m, stop = stop, min(n, 2 * stop)
-        if m == n or size.min() >= cum[r_bar]:
+    order, first = np.zeros(0, dtype=np.intp), np.zeros_like(size)
+    m, stop = 0, min(n, 2 * part.n_bins * cum[1])
+    r_end = np.zeros(part.n_bins, dtype=np.int64)     # 0: unfinished
+    testing = np.arange(part.n_bins)
+    for r in range(1, r_bar + 1):
+        # Each doubling bins only the steps it adds.
+        while m < n and size[testing].min(initial=cum[r]) < cum[r]:
+            codes.append(np.ravel_multi_index(
+                cell_coords(X[m:stop], part.per_axis).T,
+                (part.per_axis,) * part.d).astype(_key_dtype(part.n_bins)))
+            size += np.bincount(codes[-1], minlength=part.n_bins)
+            m, stop = stop, min(n, 2 * stop)
+        if len(order) < m:
+            order = np.argsort(np.concatenate(codes), kind="stable")
+            first = size.cumsum() - size
+        testing = testing[size[testing] >= cum[r]]   # the others are starved
+        if not len(testing):
             break
-    b_idx = np.concatenate(codes)
-    order = np.argsort(b_idx, kind="stable")
-    bounds = np.concatenate([[0], size.cumsum()])
+        # Round r of bin i is its arrivals cum[r - 1] to cum[r], alternating
+        # arm 1, arm 2 (rounds have even sizes): arm a's are idx[i, a].
+        pos = first[testing, None] + np.arange(cum[r - 1], cum[r])
+        idx = order[pos].reshape(len(testing), -1, 2).transpose(0, 2, 1)
+        y = np.stack([rewards.read(arm, idx[:, arm].ravel()).reshape(len(testing), -1)
+                      for arm in (0, 1)], axis=1)
+        fires = policy.round_fires([bin_ids[i] for i in testing], r, X[idx], y)
+        for i in testing[fires]:
+            policy.state[bin_ids[i]].r_last = r
+        r_end[testing[fires]] = r
+        testing = testing[~fires]
+    r_end[testing] = r_bar
 
-    # Steps of the estimation phase; n + 1 while some bin is unfinished.
-    t_sacb = 0
-    for flat, bin_id in enumerate(part.bin_ids()):
-        idx = order[bounds[flat]:bounds[flat + 1]]
-        # Rounds have even sizes, so the alternation runs across them.
-        _fill_alternation(actions, idx)
-        rounds = int(np.searchsorted(cum, len(idx), side="right")) - 1
-        for r in range(1, rounds + 1):
-            sl = idx[cum[r - 1]:cum[r]]
-            arms = [(X[sl[arm::2]], rewards.read(arm, sl[arm::2])) for arm in (0, 1)]
-            if policy.round_fires(bin_id, r, arms):
-                policy.state[bin_id].r_last = r
-                break
-        r_end = policy.state[bin_id].r_last or (r_bar if rounds == r_bar else None)
-        t_sacb = max(t_sacb, n + 1 if r_end is None else int(idx[cum[r_end] - 1]) + 1)
-
-    if t_sacb <= n:
-        handoff_cfg = policy.handoff_config(t_sacb)
-        actions[t_sacb:] = abse_actions(handoff_cfg, X[t_sacb:], rewards.tail(t_sacb))
+    # Every binned arrival alternates within its bin.
+    actions[order] = 1 + ((np.arange(m) - np.repeat(first, size)) & 1)
+    if np.all(r_end > 0):
+        t_sacb = int(order[first + cum[r_end] - 1].max()) + 1
+        actions[t_sacb:] = abse_actions(policy.handoff_config(t_sacb), X[t_sacb:],
+                                        rewards.tail(t_sacb))
     return actions
 
 

@@ -139,9 +139,9 @@ class SacbPolicy:
         if st.counts[0] + st.counts[1] >= need and st.r <= self.levels.r_bar:
             if st.r_last is None:
                 # Alternation ends the round with need / 2 >= 1 samples per arm.
-                arms = [(np.stack([rec[0] for rec in buf]),
-                         np.array([rec[1] for rec in buf])) for buf in st.buffers]
-                if self.round_fires(bin_id, st.r, arms):
+                X = np.array([[rec[0] for rec in buf] for buf in st.buffers])
+                y = np.array([[rec[1] for rec in buf] for buf in st.buffers])
+                if self.round_fires([bin_id], st.r, X[None], y[None])[0]:
                     st.r_last = st.r
             st.r += 1
             st.counts = [0, 0]
@@ -153,27 +153,33 @@ class SacbPolicy:
 
     # -- estimation subroutine -------------------------------------------------
 
-    def round_fires(self, bin_id, r: int, arms) -> bool:
-        """Whether round r's test fires in this bin.
+    def round_fires(self, bin_ids, r: int, X, y) -> np.ndarray:
+        """Whether round r's test fires, one bool per bin of bin_ids.
 
-        It fires when, for some arm, the sup over mesh points of
-        |coarse fit - fine fit| exceeds test_threshold at round r.  arms
-        holds one (X, y) pair per arm with samples this round.
+        It fires in a bin when, for some arm, the sup over the bin's mesh
+        points of |coarse fit - fine fit| exceeds test_threshold at round
+        r.  X, shape (len(bin_ids), 2, n, d), and y, shape
+        (len(bin_ids), 2, n), hold each bin's n = round_samples(q, r)
+        samples of each arm this round.  Every bin and arm is fitted in one
+        stacked window_fits call.
         """
         cfg = self.config
         thr = test_threshold(cfg.gamma, self.T, self.d, cfg.beta_lo, cfg.q, r)
         h1 = cfg.q ** (-self.levels.j1)
         h2 = cfg.q ** (-self.levels.j2)
-        mesh = self.mesh[bin_id]
-        n = len(mesh)
-        # Coarse and fine fits in one call: the mesh twice, one bandwidth each.
-        centers = np.concatenate([mesh, mesh])
-        h = np.repeat([h1, h2], n)
-        for X, y in arms:
-            v = window_fits(X, y, centers, h, self.degree)
-            if np.max(np.abs(v[:n] - v[n:])) > thr:
-                return True
-        return False
+        # Dataset 2 i + a is arm a of bin i; its centers are the bin's mesh,
+        # first all coarse, then all fine.
+        meshes = [self.mesh[bin_id] for bin_id in bin_ids for _ in (0, 1)]
+        sizes = np.array([len(mesh) for mesh in meshes])
+        mesh = np.concatenate(meshes)
+        owner = np.repeat(np.arange(len(meshes)), sizes)
+        n_half = len(mesh)
+        v = window_fits(X.reshape(-1, *X.shape[2:]), y.reshape(-1, y.shape[2]),
+                        np.concatenate([mesh, mesh]), np.repeat([h1, h2], n_half),
+                        self.degree, owner=np.concatenate([owner, owner]))
+        gap = np.abs(v[:n_half] - v[n_half:])
+        over = np.maximum.reduceat(gap, np.cumsum(sizes) - sizes) > thr
+        return over.reshape(-1, 2).any(axis=1)
 
     def estimate_smoothness(self) -> float:
         """Raw estimate from the recorded rounds (clamping happens at handoff)."""

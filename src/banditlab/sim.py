@@ -222,6 +222,8 @@ def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     specs = list(policy_specs)
+    if not specs:
+        raise ValueError("run_experiment needs at least one policy spec")
     labels = dedup_labels(specs)
 
     parallel = parallelism > 1

@@ -135,6 +135,21 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2])
+def test_abse_leaf_keys_in_blocks(d, monkeypatch):
+    """Leaf keys and counts made 7 points at a time equal those of one block."""
+    T = 4_000
+    k0 = max_depth(AbseConfig(beta=0.5, T=T, d=d, gamma_abse=0.5))
+    X = np.random.default_rng(12).random((T, d))
+    whole, whole_size = fast._leaf_codes(X, k0)
+    monkeypatch.setattr(fast, "_KEY_BLOCK", 7)
+    codes, size = fast._leaf_codes(X, k0)
+    assert codes.dtype == whole.dtype == np.min_scalar_type(2 ** (d * k0) - 1)
+    assert np.array_equal(codes, whole)
+    assert np.array_equal(size, whole_size)
+    assert np.array_equal(size, np.bincount(codes, minlength=2 ** (d * k0)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
 def test_abse_engine_on_cell_edges(d):
     """Covariates at 0, 1 and the dyadic edges j / 2^k, where cells meet.
 
@@ -199,9 +214,11 @@ def test_sacb_starved_stream_never_hands_off():
 
 
 # q = 2, upsilon = 1 at T = 20k: 2 bins, [0, 1/2) and [1/2, 1], whose 6
-# rounds read at most their first cum[r_bar] = 252 arrivals, so the engine
-# first bins 2 * 2 * 252 = 1008 steps.  At gamma = 0.2 one bin's test
-# fires (round 5 on the streams below) and the other runs all 6 rounds.
+# rounds read their arrivals up to cum[r] = 4, 12, 28, 60, 124, 252.  The
+# engine first bins 2 * 2 * cum[1] = 16 steps and doubles the prefix before
+# round r until every bin still testing has cum[r] arrivals.  At
+# gamma = 0.2 one bin's test fires (round 5 on the streams below) and the
+# other runs all 6 rounds.
 PREFIX_SACB = PolicySpec("sacb", {"gamma": 0.2, "q": 2.0, "upsilon": 1.0,
                                   "beta_lo": 0.6, "beta_hi": 1.0})
 
@@ -252,21 +269,51 @@ def test_sacb_engine_bins_a_prefix():
     T = 20_000
     pol, binned, handed = sacb_engine_against_sequential(
         PREFIX_SACB, T, *drawn_stream(T, 7))
-    assert binned == [1008]
+    assert binned == [16, 16, 32, 64, 128, 256]
     assert pol.t_sacb is not None and handed == T - pol.t_sacb
 
 
 def test_sacb_engine_grows_its_prefix():
-    # The first 1008 arrivals all fall in bin 0, so bin 1 is empty in the
-    # first prefix and the engine doubles it once.
+    # The first 1008 arrivals all fall in bin 0, so bin 1 has no arrival
+    # until the prefix doubles past step 1008.
     T = 20_000
     g = np.random.default_rng(9)
     X = g.random((T, 1))
     X[:1008] *= 0.5
     pol, binned, handed = sacb_engine_against_sequential(
         PREFIX_SACB, T, X, g.random((2, T)))
-    assert binned == [1008, 1008]
+    assert binned == [16, 16, 32, 64, 128, 256, 512, 1024]
     assert pol.t_sacb is not None and handed == T - pol.t_sacb
+
+
+def test_sacb_engine_bins_only_the_rounds_it_tests():
+    # At gamma = 0.05 the bins fire in rounds 2 and 1, which read their
+    # first cum[2] = 12 arrivals: the engine bins 32 steps, not the
+    # 2 * n_bins * cum[r_bar] = 1008 that all 6 rounds could read.
+    T = 20_000
+    pspec = PolicySpec("sacb", {**PREFIX_SACB.params, "gamma": 0.05})
+    pol, binned, handed = sacb_engine_against_sequential(pspec, T, *drawn_stream(T, 7))
+    assert [st.r_last for st in pol.state.values()] == [2, 1]
+    assert binned == [16, 16]
+    assert pol.t_sacb is not None and handed == T - pol.t_sacb
+
+
+def test_sacb_engine_with_a_starved_bin():
+    # 4 bins of width 1/4 and 8 rounds (cum[r_bar] = 1020).  Bin 3 gets
+    # only 30 arrivals, so it stops testing after round 3 and blocks the
+    # handoff; the other bins go on testing and fire in rounds 8 and 4, or
+    # run all 8 rounds, as in the sequential policy.
+    T = 20_000
+    pspec = PolicySpec("sacb", {"gamma": 0.3, "q": 2.0, "upsilon": 1.0,
+                                "beta_lo": 1.0, "beta_hi": 1.0})
+    g = np.random.default_rng(5)
+    X = 0.75 * g.random((T, 1))
+    X[g.choice(T, 30, replace=False)] = 0.75 + 0.25 * g.random((30, 1))
+    pol, binned, handed = sacb_engine_against_sequential(pspec, T, X, g.random((2, T)))
+    assert pol.partition.n_bins == 4
+    assert [st.r_last for st in pol.state.values()] == [8, None, 4, None]
+    assert sum(binned) == T                 # the starved bin takes in the stream
+    assert pol.t_sacb is None and handed is None
 
 
 def test_sacb_engine_hands_off_on_the_last_step():

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from banditlab import locpoly
 from banditlab.locpoly import (
+    SINGULARITY_TOL,
     PolynomialEstimate,
     enumerate_multi_indices,
     fit_local_polynomial,
@@ -247,3 +251,158 @@ class TestWindowFits:
         h = data.draw(st.sampled_from([0.5 / grid, 1.0 / grid, 2.0 / grid, 0.3]),
                       label="h")
         assert_matches_oracle(X, y, centers, h, degree)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestStackedWindowFits:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_equals_one_call_per_dataset_bit_for_bit(self, d, degree):
+        # Lattice coordinates, centers and bandwidths put points exactly on
+        # window edges and make empty, one-point and rank-deficient windows.
+        gen = np.random.Generator(np.random.Philox(key=71 + 3 * d + degree))
+        grid = 16
+        window_sizes = set()
+        for trial in range(40):
+            k = int(gen.integers(1, 6))
+            n = int(gen.integers(0, 25))
+            X = gen.integers(0, grid + 1, (k, n, d)) / grid
+            if trial % 3 == 0:
+                X = gen.random((k, n, d))
+            y = gen.normal(size=(k, n))
+            n_c = int(gen.integers(1, 60))
+            centers = gen.integers(0, grid + 1, (n_c, d)) / grid
+            centers[::2] = gen.random((len(centers[::2]), d))
+            h = gen.choice([0.5 / grid, 1.0 / grid, 2.0 / grid, 0.3], n_c)
+            owner = gen.integers(0, k, n_c)
+            got = window_fits(X, y, centers, h, degree, owner=owner)
+            for j in range(k):
+                sel = owner == j
+                alone = window_fits(X[j], y[j], centers[sel], h[sel], degree)
+                assert np.array_equal(bits(got[sel]), bits(alone))
+                inside = np.max(np.abs(X[j][None] - centers[sel][:, None]), axis=2) \
+                    <= h[sel][:, None]
+                window_sizes.update(inside.sum(axis=1).tolist())
+        assert {0, 1, 2} <= window_sizes
+
+    def test_one_dataset_is_the_stack_of_one(self):
+        gen = np.random.Generator(np.random.Philox(key=80))
+        X, y = gen.random(30), gen.normal(size=30)
+        centers = gen.random(20)
+        plain = window_fits(X, y, centers, 0.1, 1)
+        stacked = window_fits(X[None, :, None], y[None], centers, 0.1, 1,
+                              owner=np.zeros(20, dtype=int))
+        assert np.array_equal(bits(plain), bits(stacked))
+
+    def test_empty_datasets(self):
+        out = window_fits(np.empty((3, 0, 1)), np.empty((3, 0)), np.zeros(4), 0.5, 1,
+                          owner=[0, 1, 2, 2])
+        assert np.array_equal(out, np.zeros(4))
+
+    @pytest.mark.parametrize("X,y,centers,owner", [
+        (np.ones((4, 1)), np.ones(4), np.ones(2), [0, 0]),           # not a stack
+        (np.ones((2, 4, 1)), np.ones((2, 3)), np.ones(2), [0, 1]),   # y rows too short
+        (np.ones((2, 4, 1)), np.ones((3, 4)), np.ones(2), [0, 1]),   # one y row too many
+        (np.ones((2, 4, 2)), np.ones((2, 4)), np.ones(2), [0, 1]),   # d differs
+        (np.ones((2, 4, 1)), np.ones((2, 4)), np.ones(2), [0]),      # owner too short
+        (np.ones((2, 4, 1)), np.ones((2, 4)), np.ones(2), [0, 2]),   # owner >= k
+        (np.ones((2, 4, 1)), np.ones((2, 4)), np.ones(2), [-1, 0]),  # owner < 0
+        (np.ones((2, 4, 1)), np.ones((2, 4)), np.ones(2), [0.0, 1.0]),
+        (np.ones(4), np.ones(3), np.ones(2), None),                  # one dataset
+        (np.ones((2, 4, 1)), np.ones((2, 4)), np.ones(2), None),     # stack, no owner
+    ])
+    def test_rejects_mismatched_stacks(self, X, y, centers, owner):
+        with pytest.raises(ValueError):
+            window_fits(X, y, centers, 0.5, 1, owner=owner)
+
+
+def eigvalsh_gate(Q):
+    """The gate by eigvalsh alone, as fit_local_polynomial applies it."""
+    scale = np.max(np.abs(Q), axis=(1, 2))
+    ok = scale > 0.0
+    ok[ok] = np.linalg.eigvalsh(Q[ok])[:, 0] > SINGULARITY_TOL * scale[ok]
+    return ok
+
+
+def two_point_q(u1, u2):
+    """Q of a degree-1 fit to two points at u1 and u2 from the center."""
+    return np.stack([np.stack([np.full_like(u1, 2.0), u1 + u2], axis=-1),
+                     np.stack([u1 + u2, u1 * u1 + u2 * u2], axis=-1)], axis=-2)
+
+
+def adversarial_stack():
+    """2 x 2 gates around and inside the band the determinant cannot decide.
+
+    Two-point windows whose spacing sweeps lambda_min ~ s^2 / 2 through
+    SINGULARITY_TOL * scale, rank-1 windows (repeated points), windows of
+    many points in a tiny spread, and matrices of trace <= 0.
+    """
+    gen = np.random.Generator(np.random.Philox(key=90))
+    s = np.geomspace(1e-7, 1e-3, 4001)
+    base = gen.uniform(-0.5, 0.5, len(s))
+    sweep = two_point_q(base, base + s)
+    n = gen.integers(1, 50, 2000).astype(float)
+    u = gen.uniform(-1.0, 1.0, 2000)
+    rank1 = np.stack([np.stack([n, n * u], axis=-1),
+                      np.stack([n * u, n * u * u], axis=-1)], axis=-2)
+    pts = gen.uniform(-1, 1, (2000, 1)) + gen.uniform(0, 1e-4, (2000, 6)) \
+        * gen.choice([1e-2, 1.0, 1e2], (2000, 1))
+    spread = np.stack([np.stack([np.full(2000, 6.0), pts.sum(1)], axis=-1),
+                       np.stack([pts.sum(1), (pts * pts).sum(1)], axis=-1)], axis=-2)
+    odd = np.array([[[0.0, 1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, -2.0]],
+                    [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    return np.concatenate([sweep, rank1, spread, odd])
+
+
+class TestDeterminantGate:
+    def test_decides_as_eigvalsh(self):
+        Q = adversarial_stack()
+        want = eigvalsh_gate(Q)
+        assert np.array_equal(locpoly._nondegenerate(Q), want)
+        # The stack spans both outcomes, and some rank-1 Q has a determinant
+        # that rounds negative although the matrix is positive semidefinite.
+        assert want.any() and not want.all()
+        a, b, c = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
+        assert np.any(a[4001:6001] * c[4001:6001] - b[4001:6001] ** 2 < 0)
+
+    def test_eigvalsh_sees_only_the_undecided_band(self):
+        Q = adversarial_stack()
+        want = eigvalsh_gate(Q)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(A):
+            seen.append(A.copy())
+            return eigvalsh(A)
+
+        with mock.patch.object(locpoly.np.linalg, "eigvalsh", spy):
+            got = locpoly._nondegenerate(Q)
+        assert np.array_equal(got, want)
+        assert len(seen) == 1
+        sent = seen[0]
+        # What the bracket D/t <= lambda_min <= 2 D/t cannot decide.
+        a, b, c = Q[:, 0, 0], Q[:, 1, 0], Q[:, 1, 1]
+        t = a + c
+        scale = np.max(np.abs(Q), axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (a * c - b * b) / t
+        tol = SINGULARITY_TOL * scale
+        band = (scale > 0) & (~(t > 0) | ((bound <= 2 * tol) & (2 * bound >= tol / 2)))
+        assert np.array_equal(sent, Q[band])
+        # The sweep puts matrices in the band, but they are a small share.
+        assert 0 < len(sent) < 0.1 * len(Q)
+
+    def test_other_sizes_keep_their_gate(self):
+        gen = np.random.Generator(np.random.Philox(key=91))
+        ones = np.abs(gen.normal(size=(50, 1, 1)))
+        ones[::7] = 0.0
+        with mock.patch.object(locpoly.np.linalg, "eigvalsh") as spy:
+            assert np.array_equal(locpoly._nondegenerate(ones), ones[:, 0, 0] > 0)
+        spy.assert_not_called()
+        B = gen.normal(size=(200, 3, 2))
+        threes = B @ B.transpose(0, 2, 1)       # rank 2: degenerate
+        threes[::2] += np.eye(3)
+        assert np.array_equal(locpoly._nondegenerate(threes), eigvalsh_gate(threes))

@@ -221,6 +221,13 @@ class TestExperiment:
         for k in serial:
             assert serial[k].mean_regret == par[k].mean_regret
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_rejects_an_empty_policy_list(self, parallelism):
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        with pytest.raises(ValueError, match="at least one policy"):
+            run_experiment(spec, [], 15_000, reps=2, base_seed=12,
+                           parallelism=parallelism)
+
     @pytest.mark.parametrize("reps,parallelism", [(1, 2), (2, 4), (3, 2)])
     def test_policy_groups_match_single_episodes(self, reps, parallelism):
         # Fewer replications than workers splits each replication's
