@@ -9,8 +9,8 @@ plot    regenerate plot/table CSVs and SVG charts from results.csv
 
 The config file is JSON; `parse_config` fills each sacb/abse policy's
 tuning from the SacbConfig/AbseConfig defaults (the published table),
-checks it by building that config, and normalizes the file to a canonical
-form whose SHA-256 prefix stamps every output file.  Exit codes: 0 ok,
+checks it by building that config, and normalizes the file; the SHA-256
+prefix of its sorted-key JSON stamps every output file.  Exit codes: 0 ok,
 2 config error, 3 runtime failure (with a manifest of completed cells).
 """
 
@@ -67,6 +67,14 @@ def _integer(value, name: str, problems: list, low: int | None = None):
     return None
 
 
+def _object(value, name: str, problems: list) -> dict:
+    """value as a dict, or {} after recording a problem."""
+    if isinstance(value, dict):
+        return dict(value)
+    problems.append(f"{name} must be a JSON object, got {value!r}")
+    return {}
+
+
 def fmt(x) -> str:
     """Locale-independent fixed-point formatting, 6 significant digits."""
     if x is None:
@@ -105,7 +113,7 @@ def parse_config(path_or_dict) -> dict:
     if unknown:
         problems.append(f"unknown config keys {unknown}")
     cfg = {}
-    inst = dict(raw.get("instance") or {})
+    inst = _object(raw.get("instance") or {}, "instance", problems)
     kind = inst.get("kind")
     if kind not in INSTANCE_KINDS:
         problems.append(f"instance.kind must be one of {INSTANCE_KINDS}, got {kind!r}")
@@ -114,7 +122,7 @@ def parse_config(path_or_dict) -> dict:
     cfg["instance"] = inst
 
     cfg["sweep"] = {}
-    for key, values in dict(raw.get("sweep") or {}).items():
+    for key, values in _object(raw.get("sweep") or {}, "sweep", problems).items():
         if key not in ("tilde_beta", "T", "beta"):
             problems.append(f"sweep key {key!r} not supported (tilde_beta, T, beta)")
         if not isinstance(values, (list, tuple)):
@@ -142,10 +150,16 @@ def parse_config(path_or_dict) -> dict:
                 problems.append(f"instance: {e}")
 
     policies = raw.get("policies") or []
-    if not policies:
+    if not isinstance(policies, list):
+        problems.append(f"policies must be a list, got {policies!r}")
+        policies = []
+    elif not policies:
         problems.append("at least one policy is required")
     norm_policies = []
     for i, pol in enumerate(policies):
+        if not isinstance(pol, dict):
+            problems.append(f"policies[{i}] must be a JSON object, got {pol!r}")
+            continue
         pol = dict(pol)
         pkind = pol.get("kind")
         if pkind not in POLICY_KINDS:
@@ -195,15 +209,7 @@ def parse_config(path_or_dict) -> dict:
 
     if problems:
         raise ValidationError(problems)
-    return _canonical(cfg)
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, list):
-        return [_canonical(v) for v in obj]
-    return obj
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -369,25 +375,37 @@ def _svg_chart(curves: dict, path: Path, x_label: str) -> None:
     path.write_text("\n".join(parts))
 
 
-def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
-                   version: str = __version__) -> list[Path]:
-    """Write per-curve CSVs (x, mean, ci_lo, ci_hi) and an SVG chart.
+def sweep_axis(cells) -> str:
+    """The sweep figure's x axis over plan cells or results.csv rows.
 
-    figure_kind "sweep": x = tilde_beta (falls back to T, then beta).
-    figure_kind "table": regret matrix (rows = beta, cols = policies) in the
-    published units (divided by 1e4 for setting1, 1e3 for setting2), plus
-    the relative-loss matrix recomputed from the regret matrix.
+    The first of tilde_beta, T and beta that takes two values, else
+    tilde_beta if it is set; an unset tilde_beta is None in a plan cell
+    and "" in a row.  Without an axis the sweep figure is a config error.
+    """
+    for axis in ("tilde_beta", "T", "beta"):
+        if len({c[axis] for c in cells} - {None, ""}) > 1:
+            return axis
+    if any(c["tilde_beta"] not in (None, "") for c in cells):
+        return "tilde_beta"
+    raise ValidationError("--figure sweep needs a sweep over tilde_beta, "
+                          "T or beta")
+
+
+def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path) -> list[Path]:
+    """Write plot data for one figure from results.csv rows.
+
+    "sweep": one CSV per curve (x, mean, ci_lo, ci_hi) and an SVG chart,
+    with x on the `sweep_axis`.  "table": results.csv pivoted to one row
+    per beta and one column per policy label.  regret_matrix.csv holds
+    mean_regret in the published units (/1e4 for setting1, /1e3 for
+    setting2); relative_loss.csv holds the rows' relative_loss strings.  A
+    label names one spec in every cell of a beta; where only some of its
+    cells hold the abse(beta) reference, a row with a relative_loss is used.
     """
     # Check the figure before creating plotdata/, so a refused figure
     # leaves nothing behind.
     if figure_kind == "sweep":
-        for axis in ("tilde_beta", "T", "beta"):
-            if len({r[axis] for r in rows if r[axis] != ""}) > 1:
-                break
-        else:
-            axis = "tilde_beta"
-        if all(r[axis] == "" for r in rows):
-            raise ValidationError(f"missing sweep axis values for {axis}")
+        axis = sweep_axis(rows)
     elif figure_kind != "table":
         raise ValidationError(f"unknown figure kind {figure_kind!r}")
     pdir = out_dir / "plotdata"
@@ -404,7 +422,7 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
             curves.setdefault(r["policy"], []).append((x, mean, mean - ci, mean + ci))
         for label, pts in curves.items():
             f = pdir / f"curve_{_file_label(label)}.csv"
-            lines = [f"# banditlab {version}", PLOT_HEADER]
+            lines = [f"# banditlab {__version__}", PLOT_HEADER]
             for x, m, lo, hi in sorted(pts):
                 lines.append(f"{fmt(x)},{fmt(m)},{fmt(lo)},{fmt(hi)}")
             f.write_text("\n".join(lines) + "\n")
@@ -415,39 +433,25 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
         return written
     inst = rows[0]["instance"] if rows else ""
     unit = 1e4 if inst == "setting1" else 1e3 if inst == "setting2" else 1.0
-    betas = sorted({r["beta"] for r in rows}, key=float)
-    by_key = {}
+    table = {}                   # (beta, label) -> row
     for r in rows:
-        key = (r["beta"], r["policy"], r["tilde_beta"])
-        by_key[key] = r
-    # one matrix column per (policy, tilde_beta) combination
-    col_keys = list(dict.fromkeys((r["policy"], r["tilde_beta"]) for r in rows))
-    header = "beta," + ",".join(pol for pol, _ in col_keys)
-    matrix = [f"# banditlab {version} (regret / {fmt(unit)})", header]
-    rl_rows = [f"# banditlab {version}", header]
+        key = (r["beta"], r["policy"])
+        if key not in table or r["relative_loss"]:
+            table[key] = r
+    betas = sorted({b for b, _ in table}, key=float)
+    labels = list(dict.fromkeys(label for _, label in table))
+    header = "beta," + ",".join(labels)
+    matrix = [f"# banditlab {__version__} (regret / {fmt(unit)})", header]
+    rl_rows = [f"# banditlab {__version__}", header]
     for b in betas:
-        vals, rls = [], []
-        ref = None
-        for pol, tb in col_keys:
-            r = by_key.get((b, pol, tb))
-            if r and r["policy"] == f"abse({b})":
-                ref = float(r["mean_regret"])
-        for pk in col_keys:
-            r = by_key.get((b,) + pk)
-            if r is None:
-                vals.append("")
-                rls.append("")
-                continue
-            m = float(r["mean_regret"])
-            vals.append(fmt(m / unit))
-            rls.append(fmt((m - ref) / ref) if ref else "")
-        matrix.append(f"{b}," + ",".join(vals))
-        rl_rows.append(f"{b}," + ",".join(rls))
-    f1 = pdir / "regret_matrix.csv"
-    f1.write_text("\n".join(matrix) + "\n")
-    f2 = pdir / "relative_loss.csv"
-    f2.write_text("\n".join(rl_rows) + "\n")
-    written.extend([f1, f2])
+        cells = [table.get((b, label)) for label in labels]
+        matrix.append(f"{b}," + ",".join(
+            "" if r is None else fmt(float(r["mean_regret"]) / unit) for r in cells))
+        rl_rows.append(f"{b}," + ",".join(
+            "" if r is None else r["relative_loss"] for r in cells))
+    for name, lines in (("regret_matrix.csv", matrix), ("relative_loss.csv", rl_rows)):
+        written.append(pdir / name)
+        written[-1].write_text("\n".join(lines) + "\n")
     return written
 
 
@@ -456,16 +460,11 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path,
 
 
 def _cmd_run(cfg: dict, out_dir: Path, figures: list[str]) -> int:
-    # The sweep figure needs an axis: a tilde_beta, or two values of T or beta.
-    cells = list(_cells(cfg))
-    if "sweep" in figures and cells[0]["tilde_beta"] is None and all(
-            len({c[axis] for c in cells}) == 1 for axis in ("T", "beta")):
-        raise ValidationError("--figure sweep needs a sweep over tilde_beta, "
-                              "T or beta")
+    if "sweep" in figures:
+        sweep_axis(list(_cells(cfg)))
     rows = run(cfg, out_dir)
     for fig in figures:
-        emit_plot_data(
-            _read_results(out_dir / "results.csv"), fig, out_dir)
+        emit_plot_data(_read_results(out_dir / "results.csv"), fig, out_dir)
     print(f"wrote {out_dir / 'results.csv'} ({len(rows)} rows)")
     return 0
 

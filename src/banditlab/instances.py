@@ -263,9 +263,13 @@ def make_power_payoff(beta: float, delta: float,
 # adversarial lower-bound families
 
 
+# Payoff scale of the lower-bound families.  They need C_PHI * Delta <= 1/4,
+# which the check Delta <= 1/4 gives at C_PHI = 1.
+C_PHI = 1.0
+
+
 def make_lower_bound_family(beta: float, gamma: float, alpha: float,
-                            Delta: float, variant: str, d: int = 1,
-                            C_phi: float = 1.0) -> list:
+                            Delta: float, variant: str, d: int = 1) -> list:
     """Nominal instance plus alternatives differing on one region each.
 
     variant "at-most-lipschitz": nominal has a downward gamma-smooth bump
@@ -276,8 +280,6 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
     """
     if Delta > 0.25 or Delta <= 0:
         raise InvalidGapError(f"need 0 < Delta <= 1/4, got {Delta}")
-    if C_phi * Delta > 0.25:
-        raise InvalidGapError("C_phi * Delta must stay <= 1/4")
 
     def member(f1, meta):
         return _instance("lower_bound", d, f1, _constant(0.5),
@@ -298,11 +300,11 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
             arg = (pts - a0) / Delta ** (alpha / d)
             cap = np.minimum(Delta, Delta ** (alpha * gamma / d)
                              * psi_tilde(arg, gamma, d))
-            return 0.5 - C_phi * cap
+            return 0.5 - C_PHI * cap
 
         meta0 = {
-            "beta": gamma, "L": C_phi * 2.0 ** (2.0 + 2.0 * gamma),
-            "alpha": alpha, "C0": 2.0 ** d * 3.0 * d * C_phi ** (-alpha),
+            "beta": gamma, "L": C_PHI * 2.0 ** (2.0 + 2.0 * gamma),
+            "alpha": alpha, "C0": 2.0 ** d * 3.0 * d * C_PHI ** (-alpha),
             "Delta": Delta, "M": M, "variant": variant, "member": 0,
         }
         out = [member(phi0, meta0)]
@@ -314,13 +316,13 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
             a_m = (idx + 0.5) * cell_side
 
             def phi_m(pts, a_m=a_m):
-                bump_val = 0.5 + C_phi * Delta * psi_hat(
+                bump_val = 0.5 + C_PHI * Delta * psi_hat(
                     2.0 / l_m * (pts - a_m), beta, d)
                 return np.maximum(phi0(pts), bump_val)
 
             meta_m = dict(meta0)
             meta_m.update({"beta": beta,
-                           "L": C_phi * 2.0 ** (2.0 + 2.0 * beta),
+                           "L": C_PHI * 2.0 ** (2.0 + 2.0 * beta),
                            "member": m, "bump_center": tuple(a_m),
                            "cell_side": cell_side})
             out.append(member(phi_m, meta_m))
@@ -334,17 +336,17 @@ def make_lower_bound_family(beta: float, gamma: float, alpha: float,
             raise InvalidRegimeError(f"need gamma > 1, got {gamma}")
 
         def phi0(pts):
-            return 0.5 - C_phi * (0.5 - pts[:, 0])
+            return 0.5 - C_PHI * (0.5 - pts[:, 0])
 
         a0_1 = (1.0 - Delta) / 2.0
 
         def phi1(pts):
             arg = 2.0 / Delta * (pts[:, 0] - a0_1)
             tri = np.where(np.abs(arg) <= 1.0, 1.0 - np.abs(arg), 0.0)
-            return 0.5 - C_phi * (0.5 - pts[:, 0]) + 2.0 * C_phi * Delta * tri
+            return 0.5 - C_PHI * (0.5 - pts[:, 0]) + 2.0 * C_PHI * Delta * tri
 
-        meta0 = {"beta": gamma, "L": C_phi * 2.0 ** (2.0 * gamma),
-                 "alpha": alpha, "C0": 2.5 / C_phi, "Delta": Delta,
+        meta0 = {"beta": gamma, "L": C_PHI * 2.0 ** (2.0 * gamma),
+                 "alpha": alpha, "C0": 2.5 / C_PHI, "Delta": Delta,
                  "variant": variant, "member": 0}
         meta1 = dict(meta0)
         meta1.update({"beta": 1.0, "member": 1,

@@ -1,20 +1,24 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL lines.
 
-Criteria 1-2 reproduce the published experiment tables at T = 2e6 with 40
-replications (marked slow, about 90 s each on 2 cores); criterion 3 is
-the desk-scale smoke; criterion 4 exercises the smoothness estimator at the
-experiment horizon; criteria 5-9 are numerical-oracle and invariant gates.
+Criteria 1-2 reproduce the published experiment tables: they run the
+shipped configs configs/table_setting{1,2}.json (T = 2e6, 40 replications)
+through `cli.parse_config` and `cli.run`, and read the rows `cli.run`
+returns; results.csv stays in pytest's tmp_path (marked slow, about 90 s
+each on 2 cores).  Criterion 3 is the desk-scale smoke, the same two
+configs at T = 2e5 with 20 replications.  Criterion 4 exercises the
+smoothness estimator at the experiment horizon; criteria 5-9 are
+numerical-oracle and invariant gates.
 """
 
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from banditlab import fast
-from banditlab.cli import main as cli_main
+from banditlab import cli, fast
 from banditlab.instances import (impossibility_exponent, make_instance,
                                  minimax_exponent)
 from banditlab.locpoly import enumerate_multi_indices, fit_local_polynomial
@@ -25,13 +29,7 @@ from banditlab.sim import run_episode, run_experiment
 import banditlab.sim as sim
 
 WORKERS = min(8, os.cpu_count() or 1)
-TILDE_GRID = [0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
-
-# Table-reproduction policy parameters (gamma_abse = 2, c0 = 2, and the
-# SACB tuning column), applied on the Gaussian sigma = 0.05 noise scale.
-TABLE_ABSE = {"c0": 2.0, "gamma_abse": 2.0}
-TABLE_SACB = {"gamma": 0.145, "q": 1.1, "upsilon": 0.325,
-              "beta_lo": 0.4, "beta_hi": 1.0, **TABLE_ABSE}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion: str, clauses: list[tuple[str, bool]]) -> None:
@@ -43,24 +41,27 @@ def report(criterion: str, clauses: list[tuple[str, bool]]) -> None:
         label for label, passed in clauses if not passed)
 
 
-def sweep_policies():
-    specs = [PolicySpec("abse", {"beta": b, **TABLE_ABSE}) for b in TILDE_GRID]
-    specs.append(PolicySpec("sacb", dict(TABLE_SACB)))
-    return specs
+def run_table(name: str, out_dir, **over):
+    """A shipped table config run through cli.run with WORKERS threads.
 
-
-def run_setting(kind: str, beta: float, T: int, reps: int):
-    return run_experiment({"kind": kind, "beta": beta}, sweep_policies(),
-                          T, reps, base_seed=20240601, parallelism=WORKERS)
+    Returns the tilde_beta grid, each policy's mean regret and each
+    policy's relative loss, all from the rows cli.run returns.
+    """
+    cfg = cli.parse_config({**cli.load_config(CONFIGS / f"{name}.json"),
+                            "threads": WORKERS, **over})
+    rows = cli.run(cfg, out_dir / name)
+    return (cfg["sweep"]["tilde_beta"],
+            {r["policy"]: r["mean_regret"] for r in rows},
+            {r["policy"]: r["relative_loss"] for r in rows
+             if r["relative_loss"] is not None})
 
 
 @pytest.mark.slow
-def test_criterion_1_table2_reproduction():
+def test_criterion_1_table2_reproduction(tmp_path):
     t0 = time.time()
-    res = run_setting("setting1", 0.9, 2_000_000, 40)
+    grid, means, _ = run_table("table_setting1", tmp_path)
     elapsed = time.time() - t0
-    means = {lab: s.mean_regret for lab, s in res.items()}
-    sweep = [means[f"abse({b})"] for b in TILDE_GRID]
+    sweep = [means[f"abse({b})"] for b in grid]
     weak_decrease = all(b <= a for a, b in zip(sweep, sweep[1:]))
     between = means["abse(0.9)"] < means["sacb"] < means["abse(0.4)"]
     clauses = [
@@ -79,37 +80,29 @@ def test_criterion_1_table2_reproduction():
 
 
 @pytest.mark.slow
-def test_criterion_2_table3_relative_loss():
+def test_criterion_2_table3_relative_loss(tmp_path):
     t0 = time.time()
-    res = run_setting("setting2", 0.5, 2_000_000, 40)
+    _, _, rel = run_table("table_setting2", tmp_path)
     elapsed = time.time() - t0
-    means = {lab: s.mean_regret for lab, s in res.items()}
-    ref = means["abse(0.5)"]
-    rl_075 = (means["abse(0.75)"] - ref) / ref
-    rl_sacb = (means["sacb"] - ref) / ref
     clauses = [
-        (f"relative loss abse(0.75) = {100 * rl_075:.0f}% >= 200%",
-         rl_075 >= 2.0),
-        (f"relative loss sacb = {100 * rl_sacb:.0f}% <= 100%",
-         rl_sacb <= 1.0),
+        (f"relative loss abse(0.75) = {100 * rel['abse(0.75)']:.0f}% >= 200%",
+         rel["abse(0.75)"] >= 2.0),
+        (f"relative loss sacb = {100 * rel['sacb']:.0f}% <= 100%",
+         rel["sacb"] <= 1.0),
         (f"runtime {elapsed:.0f}s within budget", elapsed <= 1800),
     ]
     report("2 (Table 3, Setting II)", clauses)
 
 
-def test_criterion_3_desk_scale_orderings():
+def test_criterion_3_desk_scale_orderings(tmp_path):
     t0 = time.time()
-    res1 = run_setting("setting1", 0.9, 200_000, 20)
-    res2 = run_setting("setting2", 0.5, 200_000, 20)
+    grid, m1, _ = run_table("table_setting1", tmp_path, T=200_000, reps=20)
+    _, _, rel2 = run_table("table_setting2", tmp_path, T=200_000, reps=20)
     elapsed = time.time() - t0
-    m1 = {lab: s.mean_regret for lab, s in res1.items()}
-    sweep = [m1[f"abse({b})"] for b in TILDE_GRID]
+    sweep = [m1[f"abse({b})"] for b in grid]
     weak_decrease = all(b <= a for a, b in zip(sweep, sweep[1:]))
     between = m1["abse(0.9)"] < m1["sacb"] < m1["abse(0.4)"]
-    m2 = {lab: s.mean_regret for lab, s in res2.items()}
-    ref = m2["abse(0.5)"]
-    rl_075 = (m2["abse(0.75)"] - ref) / ref
-    rl_sacb = (m2["sacb"] - ref) / ref
+    rl_075, rl_sacb = rel2["abse(0.75)"], rel2["sacb"]
     clauses = [
         ("setting I: abse(tilde) weakly decreasing "
          + str([f"{v:.3g}" for v in sweep]), weak_decrease),
@@ -259,9 +252,9 @@ def test_criterion_8_determinism(tmp_path):
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    assert cli_main(["run", "--config", str(p)]) == 0
+    assert cli.main(["run", "--config", str(p)]) == 0
     first = (tmp_path / "out" / "results.csv").read_bytes()
-    assert cli_main(["run", "--config", str(p)]) == 0
+    assert cli.main(["run", "--config", str(p)]) == 0
     second = (tmp_path / "out" / "results.csv").read_bytes()
 
     inst = make_instance(cfg["instance"], 30_000)

@@ -215,7 +215,9 @@ class TestRun:
     # an unknown instance or override key ran silently with the default,
     # and a missing lower_bound key escaped as a KeyError traceback.  A
     # misspelled top-level key ran with its default, "no" turned traces on,
-    # 0 or -3 threads ran serially, and true reps or threads ran as 1.
+    # 0 or -3 threads ran serially, and true reps or threads ran as 1.  A
+    # non-object instance, sweep or policy, or a non-list policies, escaped
+    # as a TypeError traceback or a ValueError "runtime failure" (exit 3).
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -247,13 +249,21 @@ class TestRun:
         ({"threads": -3}, "threads must be an integer >= 1"),
         ({"reps": True}, "reps must be an integer >= 1, got True"),
         ({"threads": True}, "threads must be an integer >= 1, got True"),
+        ({"instance": [1, 2]}, r"instance must be a JSON object, got \[1, 2\]"),
+        ({"instance": "setting1"},
+         "instance must be a JSON object, got 'setting1'"),
+        ({"sweep": [1]}, r"sweep must be a JSON object, got \[1\]"),
+        ({"policies": [5]}, r"policies\[0\] must be a JSON object, got 5"),
+        ({"policies": {"kind": "sacb"}},
+         "policies must be a list, got {'kind': 'sacb'}"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
             "instance-beta-range", "sweep-beta-range", "unknown-override",
             "unknown-instance-key", "missing-instance-key", "threds", "rep",
             "traces-string", "threads-zero", "threads-negative", "reps-bool",
-            "threads-bool"])
+            "threads-bool", "instance-list", "instance-string", "sweep-list",
+            "policy-number", "policies-object"])
     def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
                                                              over, match):
         p = small_config(tmp_path, **over)
@@ -389,6 +399,29 @@ class TestSweepAndPlot:
         cells = dict(zip(rl.splitlines()[1].split(","), row.split(",")))
         assert float(cells["abse(0.9)"]) == 0.0
 
+    # The table used to repeat each policy's column once per tilde_beta
+    # cell and to recompute relative loss from the rounded regrets.  The
+    # grid holds beta, so that cell's rows are in the table too.
+    def test_table_pivots_results(self, tmp_path):
+        p = small_config(tmp_path, T=5_000, reps=1,
+                         policies=[{"kind": "sacb", "gamma": 0.3, "q": 1.4,
+                                    "upsilon": 1.5, "beta_lo": 0.5,
+                                    "beta_hi": 1.0},
+                                   {"kind": "abse", "beta": 0.9},
+                                   {"kind": "abse"}],
+                         sweep={"tilde_beta": [0.5, 0.7, 0.9]})
+        assert main(["run", "--config", str(p), "--figure", "table"]) == 0
+        out = Path(json.loads(p.read_text())["output_dir"])
+        rows = _read_results(out / "results.csv")
+        labels = list(dict.fromkeys(r["policy"] for r in rows))
+        matrix = (out / "plotdata" / "regret_matrix.csv").read_text().splitlines()
+        rl = (out / "plotdata" / "relative_loss.csv").read_text().splitlines()
+        assert matrix[1] == rl[1] == "beta," + ",".join(labels)
+        assert len(matrix) == len(rl) == 3
+        table = dict(zip(labels, rl[2].split(",")[1:], strict=True))
+        for r in rows:
+            assert table[r["policy"]] == r["relative_loss"]
+
     def test_levels_subcommand(self, tmp_path, capsys):
         p = small_config(tmp_path, T=2_000_000,
                          policies=[{"kind": "sacb"}])
@@ -415,3 +448,13 @@ class TestSweepAndPlot:
         # Witness points print as plain floats, not numpy scalars.
         assert "self_similarity: holds" in out and "witness={" in out
         assert "np.float64" not in out
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_shipped_config_parses_and_prints_levels(path):
+    parse_config(path)
+    assert main(["levels", "--config", str(path)]) == 0
