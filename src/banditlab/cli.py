@@ -67,6 +67,12 @@ def _integer(value, name: str, problems: list, low: int | None = None):
     return None
 
 
+def _unit_beta(value) -> bool:
+    """Whether value is a number in (0, 1], as a smoothness beta must be."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= 1)
+
+
 def _object(value, name: str, problems: list) -> dict:
     """value as a dict, or {} after recording a problem."""
     if isinstance(value, dict):
@@ -130,6 +136,10 @@ def parse_config(path_or_dict) -> dict:
         elif not values:
             problems.append(f"sweep.{key} must not be empty")
         else:
+            if key == "tilde_beta":
+                problems.extend(f"sweep.tilde_beta: beta must be in (0, 1], got {v!r}"
+                                for v in values if not _unit_beta(v))
+                values = list(filter(_unit_beta, values))
             cfg["sweep"][key] = list(values)
 
     cfg["T"] = _integer(raw.get("T", 0), "T", problems, low=1)
@@ -201,7 +211,9 @@ def parse_config(path_or_dict) -> dict:
     stride = raw.get("checkpoint_stride")
     cfg["checkpoint_stride"] = (None if stride is None else
                                 _integer(stride, "checkpoint_stride", problems, low=1))
-    cfg["output_dir"] = str(raw.get("output_dir", "out"))
+    cfg["output_dir"] = raw.get("output_dir", "out")
+    if not isinstance(cfg["output_dir"], str):
+        problems.append(f"output_dir must be a string, got {cfg['output_dir']!r}")
 
     needs_tilde = any(p["kind"] == "abse" and "beta" not in p for p in norm_policies)
     if needs_tilde and "tilde_beta" not in cfg["sweep"]:
@@ -391,22 +403,36 @@ def sweep_axis(cells) -> str:
                           "T or beta")
 
 
+def table_horizon(cells) -> None:
+    """The table figure's check over plan cells or results.csv rows.
+
+    Its rows are keyed by beta, so the cells must share one T; a T sweep
+    is a config error, as a missing sweep axis is for the sweep figure.
+    """
+    horizons = sorted({int(c["T"]) for c in cells})
+    if len(horizons) > 1:
+        raise ValidationError(f"--figure table needs one T, got {horizons}")
+
+
 def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path) -> list[Path]:
     """Write plot data for one figure from results.csv rows.
 
     "sweep": one CSV per curve (x, mean, ci_lo, ci_hi) and an SVG chart,
-    with x on the `sweep_axis`.  "table": results.csv pivoted to one row
-    per beta and one column per policy label.  regret_matrix.csv holds
-    mean_regret in the published units (/1e4 for setting1, /1e3 for
-    setting2); relative_loss.csv holds the rows' relative_loss strings.  A
-    label names one spec in every cell of a beta; where only some of its
-    cells hold the abse(beta) reference, a row with a relative_loss is used.
+    with x on the `sweep_axis`.  "table": results.csv of one T
+    (`table_horizon`) pivoted to one row per beta and one column per
+    policy label.  regret_matrix.csv holds mean_regret in the published
+    units (/1e4 for setting1, /1e3 for setting2); relative_loss.csv holds
+    the rows' relative_loss strings.  A label names one spec in every cell
+    of a beta; where only some of its cells hold the abse(beta) reference,
+    a row with a relative_loss is used.
     """
     # Check the figure before creating plotdata/, so a refused figure
     # leaves nothing behind.
     if figure_kind == "sweep":
         axis = sweep_axis(rows)
-    elif figure_kind != "table":
+    elif figure_kind == "table":
+        table_horizon(rows)
+    else:
         raise ValidationError(f"unknown figure kind {figure_kind!r}")
     pdir = out_dir / "plotdata"
     pdir.mkdir(parents=True, exist_ok=True)
@@ -460,8 +486,11 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path) -> list[Pa
 
 
 def _cmd_run(cfg: dict, out_dir: Path, figures: list[str]) -> int:
+    cells = list(_cells(cfg))
     if "sweep" in figures:
-        sweep_axis(list(_cells(cfg)))
+        sweep_axis(cells)
+    if "table" in figures:
+        table_horizon(cells)
     rows = run(cfg, out_dir)
     for fig in figures:
         emit_plot_data(_read_results(out_dir / "results.csv"), fig, out_dir)

@@ -12,16 +12,19 @@ modules' rules (cell_coords, lifetime, radius, round_fires,
 handoff_config) rather than restating them.
 
 ABSE is replayed from one leaf-sorted index instead of routing arrivals
-down the tree.  A stable sort of the arrivals by their depth-k0 cell puts
-each leaf's arrivals in one contiguous, time-ordered run, and every node
-owns a block of consecutive runs.  A node tests only the arrivals its
-elimination test uses, the first 2 * lifetime of its cell from its start
-time on, and its children start after the last of them; so each arrival
-is tested by at most one node.  Arrivals past an elimination or a commit
-are written by one scatter at the end.  The cost is one sort of n small
-integers plus the tested arrivals (and, for a node of several runs, the
-at most 2 * lifetime candidates per run it merges them from), and the
-per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
+down the tree.  Sorting the arrivals by their depth-k0 cell, and by time
+within a cell, puts each leaf's arrivals in one contiguous, time-ordered
+run, and every node owns a block of consecutive runs.  The index is one
+array of packed keys, (cell << bits) | t, sorted in place and then masked
+to t: 4 bytes an arrival while d k0 + bits <= 32, against the 8 of an
+argsort's intp index and its sort buffer.  A node tests only the
+arrivals its elimination test uses, the first 2 * lifetime of its cell
+from its start time on, and its children start after the last of them;
+so each arrival is tested by at most one node.  Arrivals past an
+elimination or a commit are written by one scatter at the end.  The cost
+is one sort of n packed keys plus the tested arrivals (and, for a node of
+several runs, the at most 2 * lifetime candidates per run it merges them
+from), and the per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
 
 SACB's estimation phase is replayed round by round from a bin-sorted
 index of a stream prefix.  Round r of a bin reads its arrivals cum[r - 1]
@@ -37,12 +40,21 @@ later step is ABSE's.
 The engines read rewards only through `sim.Rewards`, which makes each
 (t, arm) entry on its first read; an episode pays for the rewards its
 tests use, not for the whole (T, 2) table.
+
+Memory.  An episode holds its streams: X, the (T, 2) payoffs, the (2, T)
+uniforms that become rewards and their done masks, 34 + 8 d bytes a step.
+On top of them the ABSE engine holds its packed keys and two int8 arrays
+of its n steps (played and actions), SACB its int8 actions and its binned
+prefix, and every other stream-length pass (the draws in `rng`, the cell
+keys here, the scatter of the actions, the regret accounting in `sim`)
+runs rng.BLOCK steps at a time, so its temporaries are that long.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import rng
 from .abse import AbseConfig, AbsePolicy, lifetime, max_depth, radius
 from .partition import cell_coords
 from .policies import FixedArmPolicy, OraclePolicy
@@ -65,35 +77,43 @@ def _key_dtype(n_codes: int) -> np.dtype:
     return np.min_scalar_type(n_codes - 1)
 
 
-# Points keyed per cell_coords call: bounds its float64 and int64
-# temporaries, which would otherwise each be as long as the stream.
-_KEY_BLOCK = 1 << 16
-
-
-def _leaf_codes(X: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's depth-k0 cell in depth-first tree order, and cell counts.
+def _leaf_order(X: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrivals sorted by depth-k0 cell, and the cells' arrival counts.
 
     In d >= 2 the axes' cell bits are interleaved (a Morton code), axis 0
     most significant, as AbsePolicy orders a split's children; so the
-    leaves of any cell at any depth form one contiguous block.  The codes
-    come in the key dtype of the 2^(d k0) leaves and are made, and
-    counted, _KEY_BLOCK points at a time (np.bincount would widen a
-    narrow key array to intp).
+    leaves of any cell at any depth form one contiguous block.  Arrival t
+    of cell c is the packed key (c << bits) | t, bits enough for n - 1, in
+    the narrowest unsigned dtype of d k0 + bits bits (uint32 while that is
+    at most 32).  The keys are made rng.BLOCK points at a time, so each
+    cell_coords call's float64 and int64 temporaries are that long, and
+    sorted in place.  They are distinct, so they sort as a stable argsort
+    by cell would; the counts are found by binary search, and masking off
+    the cell bits leaves the order, in the key dtype.
     """
+    n = len(X)
+    bits = max(n - 1, 0).bit_length()
     n_leaves = 1 << (X.shape[1] * k0)
-    codes = np.empty(len(X), dtype=_key_dtype(n_leaves))
-    size = np.zeros(n_leaves, dtype=np.int64)
-    for start in range(0, len(X), _KEY_BLOCK):
-        coords = cell_coords(X[start:start + _KEY_BLOCK], 1 << k0)
+    dtype = _key_dtype(n_leaves << bits)
+    shift, mask = dtype.type(bits), dtype.type((1 << bits) - 1)
+    keys = np.empty(n, dtype=dtype)
+    for start in range(0, n, rng.BLOCK):
+        coords = cell_coords(X[start:start + rng.BLOCK], 1 << k0)
         code = coords[:, 0]
         if coords.shape[1] > 1:
             code = np.zeros(len(coords), dtype=np.int64)
             for bit in range(k0 - 1, -1, -1):
                 for col in coords.T:
                     code = 2 * code + ((col >> bit) & 1)
-        codes[start:start + _KEY_BLOCK] = code
-        size += np.bincount(code, minlength=n_leaves)
-    return codes, size
+        stop = start + len(code)
+        np.bitwise_or(code.astype(dtype) << shift,
+                      np.arange(start, stop, dtype=dtype), out=keys[start:stop])
+    keys.sort()
+    # Cell c's run ends after its last key, (c << bits) | mask.
+    run_end = np.searchsorted(keys, np.arange(n_leaves, dtype=dtype) << shift | mask,
+                              side="right")
+    keys &= mask
+    return keys, np.diff(run_end, prepend=0)
 
 
 def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
@@ -111,15 +131,13 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
     reward sums do.  The node then ends in an elimination or a commit,
     whose arm is recorded for the rest of its runs, or passes each child
     its block of run heads, advanced past the arrivals it tested.  The
-    cost is one sort (numpy's radix sort while 2^(d k0) <= 2^16) plus the
-    tested arrivals and their merge candidates; the per-leaf tables hold
-    2^(d k0) entries.
+    cost is one in-place sort of n packed keys plus the tested arrivals
+    and their merge candidates; the per-leaf tables hold 2^(d k0) entries.
     """
     n = len(X)
     k0 = max_depth(cfg)
     n_leaves = 1 << (cfg.d * k0)
-    leaf, size = _leaf_codes(X, k0)
-    order = np.argsort(leaf, kind="stable")
+    order, size = _leaf_order(X, k0)
     run_end = size.cumsum()
     run_start = run_end - size
     # Each depth's rules: pairs per lifetime, and the radius after
@@ -140,12 +158,12 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
         m = 2 * life[depth]
         if runs == 1:
             pos = np.arange(head[0], min(head[0] + m, end[0]))
-            idx = order[pos]
+            idx = order[pos].astype(np.intp)
         else:
             take = np.minimum(end - head, m)
             which = np.repeat(np.arange(runs), take)
             pos = np.arange(len(which)) + np.repeat(head - take.cumsum() + take, take)
-            idx = order[pos]
+            idx = order[pos].astype(np.intp)
             first_m = idx.argsort(kind="stable")[:m]
             pos, which, idx = pos[first_m], which[first_m], idx[first_m]
         p = len(idx) // 2
@@ -179,7 +197,8 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
     arm = np.stack([np.zeros_like(tail_arm), tail_arm], axis=1).ravel()
     played += np.repeat(arm, seg)
     actions = np.empty(n, dtype=np.int8)
-    actions[order] = played
+    for start in range(0, n, rng.BLOCK):    # each block's index made intp
+        actions[order[start:start + rng.BLOCK]] = played[start:start + rng.BLOCK]
     return actions
 
 

@@ -13,6 +13,12 @@ Streams per episode:
 
 Position t in a stream is the draw for time step t, so noise depends on
 (base_seed, rep, t, arm) and never on the policy's actions.
+
+A block is drawn BLOCK values at a time, so no stream-length integer
+array is held next to it.  The blocked draws read the same variates as
+one call: each value in [1, 2^53) is made from whole 64-bit Philox
+outputs (the range exceeds 2^32, so numpy keeps no half-used output
+between calls), and the generator carries its state from call to call.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ MASK64 = (1 << 64) - 1
 
 TAG_COVARIATE = 0xC0
 TAG_NOISE = 0xA0
+
+# Values per pass over a stream-length array, here and in the engines and
+# the regret accounting: each of their temporaries holds at most this many
+# values (0.5 MiB of float64) instead of one per step.
+BLOCK = 1 << 16
 
 
 def _mix(z: int) -> int:
@@ -54,9 +65,16 @@ def open_uniforms(gen: np.random.Generator, n: int, out=None) -> np.ndarray:
 
     Integers in [1, 2^53) scaled by 2^-53, written into out if given (a
     float64 array of n entries).  Both steps are exact: int64 -> float64
-    below 2^53 and division by a power of two.
+    below 2^53 and division by a power of two.  They are drawn BLOCK at a
+    time, the same variates as one call of n (module docstring).
     """
-    return np.divide(gen.integers(1, 1 << 53, size=n), float(1 << 53), out=out)
+    if out is None:
+        out = np.empty(n)
+    for start in range(0, n, BLOCK):
+        stop = min(n, start + BLOCK)
+        np.divide(gen.integers(1, 1 << 53, size=stop - start), float(1 << 53),
+                  out=out[start:stop])
+    return out
 
 
 def covariate_block(base_seed: int, rep: int, T: int, d: int) -> np.ndarray:

@@ -143,13 +143,21 @@ def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
     # best - chosen, is then |F0 - F1| bit for bit, and +0.0 otherwise.
     # The sums run over the inferior steps t alone: a skipped +0.0 term
     # leaves the non-negative running sum's bits unchanged (x + 0.0 == x),
-    # and the inferior count at step m is the number of t <= m.
-    diff = F[:, 0] - F[:, 1]
-    inferior = (diff < 0) == (actions == 1)
-    inferior &= diff != 0
-    t = np.flatnonzero(inferior)
+    # and the inferior count at step m is the number of t <= m.  The steps
+    # and their gaps are found rng.BLOCK steps at a time; one cumsum over
+    # all the gaps then adds the same terms in the same order.
+    steps, gaps = [], []
+    for start in range(0, T, rng.BLOCK):
+        block = slice(start, start + rng.BLOCK)
+        diff = F[block, 0] - F[block, 1]
+        inferior = (diff < 0) == (actions[block] == 1)
+        inferior &= diff != 0
+        t = np.flatnonzero(inferior)
+        steps.append(t + start)
+        gaps.append(np.abs(diff[t]))
+    t = np.concatenate(steps)
     cum_regret = np.zeros(len(t) + 1)       # cum_regret[k]: first k inferior steps
-    np.cumsum(np.abs(diff[t]), out=cum_regret[1:])
+    np.cumsum(np.concatenate(gaps), out=cum_regret[1:])
 
     marks = list(range(stride - 1, T, stride))
     if not marks or marks[-1] != T - 1:

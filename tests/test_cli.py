@@ -218,6 +218,10 @@ class TestRun:
     # 0 or -3 threads ran serially, and true reps or threads ran as 1.  A
     # non-object instance, sweep or policy, or a non-list policies, escaped
     # as a TypeError traceback or a ValueError "runtime failure" (exit 3).
+    # A null output_dir wrote the run into a directory named None, and a
+    # tilde_beta of "a" ran when only named abse policies read it, then
+    # failed the sweep figure (exit 3).  Nothing is written anywhere: the
+    # run starts in tmp_path, which holds only the config.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -256,6 +260,12 @@ class TestRun:
         ({"policies": [5]}, r"policies\[0\] must be a JSON object, got 5"),
         ({"policies": {"kind": "sacb"}},
          "policies must be a list, got {'kind': 'sacb'}"),
+        ({"output_dir": None}, "output_dir must be a string, got None"),
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
+        ({"sweep": {"tilde_beta": ["a"]}},
+         r"sweep.tilde_beta: beta must be in \(0, 1\], got 'a'"),
+        ({"sweep": {"tilde_beta": [0.5, True]}},
+         r"sweep.tilde_beta: beta must be in \(0, 1\], got True"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
@@ -263,15 +273,16 @@ class TestRun:
             "unknown-instance-key", "missing-instance-key", "threds", "rep",
             "traces-string", "threads-zero", "threads-negative", "reps-bool",
             "threads-bool", "instance-list", "instance-string", "sweep-list",
-            "policy-number", "policies-object"])
-    def test_horizon_and_integer_errors_exit_2_before_writing(self, tmp_path,
-                                                             over, match):
+            "policy-number", "policies-object", "output-dir-null",
+            "output-dir-number", "tilde-beta-string", "tilde-beta-bool"])
+    def test_horizon_and_integer_errors_exit_2_before_writing(
+            self, tmp_path, monkeypatch, over, match):
         p = small_config(tmp_path, **over)
         with pytest.raises(ValidationError, match=match):
             parse_config(p)
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(p)]) == 2
-        out = Path(json.loads(p.read_text())["output_dir"])
-        assert not out.exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestPlan:
@@ -398,6 +409,18 @@ class TestSweepAndPlot:
         row = rl.splitlines()[2]
         cells = dict(zip(rl.splitlines()[1].split(","), row.split(",")))
         assert float(cells["abse(0.9)"]) == 0.0
+
+    # The table's rows are keyed by beta, so over a T sweep it used to keep
+    # the last T alone; run and plot now refuse it before writing.
+    def test_table_over_a_T_sweep_exits_2_before_writing(self, tmp_path):
+        p = small_config(tmp_path, reps=1, policies=[{"kind": "abse", "beta": 0.9}],
+                         sweep={"T": [5_000, 8_000]})
+        out = Path(json.loads(p.read_text())["output_dir"])
+        assert main(["run", "--config", str(p), "--figure", "table"]) == 2
+        assert not out.exists()
+        assert main(["run", "--config", str(p)]) == 0
+        assert main(["plot", "--config", str(p), "--figure", "table"]) == 2
+        assert not (out / "plotdata").exists()
 
     # The table used to repeat each policy's column once per tilde_beta
     # cell and to recompute relative loss from the rounded regrets.  The

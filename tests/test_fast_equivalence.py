@@ -134,28 +134,48 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
         assert len(eliminated) >= 3
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_abse_leaf_keys_in_blocks(d, monkeypatch):
-    """Leaf keys and counts made 7 points at a time equal those of one block."""
-    T = 4_000
-    k0 = max_depth(AbseConfig(beta=0.5, T=T, d=d, gamma_abse=0.5))
-    X = np.random.default_rng(12).random((T, d))
-    whole, whole_size = fast._leaf_codes(X, k0)
-    monkeypatch.setattr(fast, "_KEY_BLOCK", 7)
-    codes, size = fast._leaf_codes(X, k0)
-    assert codes.dtype == whole.dtype == np.min_scalar_type(2 ** (d * k0) - 1)
-    assert np.array_equal(codes, whole)
-    assert np.array_equal(size, whole_size)
-    assert np.array_equal(size, np.bincount(codes, minlength=2 ** (d * k0)))
+def morton_leaf(X, k0):
+    """Each point's depth-k0 cell, its axes' bits interleaved from the top."""
+    cells = np.minimum(np.floor(X * 2 ** k0).astype(int), 2 ** k0 - 1)
+    leaf = []
+    for row in cells:
+        digits = [format(c, f"0{k0}b") for c in row]     # one string per axis
+        leaf.append(int("".join("".join(bits) for bits in zip(*digits)) or "0", 2))
+    return np.array(leaf)
+
+
+# n = 2^12: the last arrival's key has every time bit set, and ends its run.
+@pytest.mark.parametrize("d,k0,n,dtype", [
+    pytest.param(1, None, 4_096, np.uint32, id="1"),
+    pytest.param(2, None, 4_096, np.uint32, id="2"),
+    # d k0 + bits = 20 + 13 > 32: the keys take 64 bits.
+    pytest.param(2, 10, 5_000, np.uint64, id="uint64"),
+])
+def test_abse_leaf_keys_in_blocks(d, k0, n, dtype, monkeypatch):
+    """The packed-key order, made in one block or 7 points at a time, is a
+    stable argsort of the points by leaf, and the counts are per leaf."""
+    k0 = k0 or max_depth(AbseConfig(beta=0.5, T=n, d=d, gamma_abse=0.5))
+    X = np.random.default_rng(12).random((n, d))
+    X[:3] = [[0.0] * d, [1.0] * d, [0.5] * d]
+    leaf = morton_leaf(X, k0)
+    want = np.argsort(leaf, kind="stable")
+    want_size = np.bincount(leaf, minlength=2 ** (d * k0))
+    for block in (rng.BLOCK, 7):
+        monkeypatch.setattr(rng, "BLOCK", block)
+        order, size = fast._leaf_order(X, k0)
+        assert order.dtype == dtype
+        assert np.array_equal(order, want)
+        assert np.array_equal(size, want_size)
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_abse_engine_on_cell_edges(d):
+def test_abse_engine_on_cell_edges(d, monkeypatch):
     """Covariates at 0, 1 and the dyadic edges j / 2^k, where cells meet.
 
     cell_coords puts j / 2^k in cell j and x = 1 in the last cell; the
     leaf-run index must then hand each such arrival to the same bin as
-    AbsePolicy does, at every depth.
+    AbsePolicy does, at every depth, and the engine's blocked passes (its
+    keys and the final scatter) must agree with one block of the stream.
     """
     T = 4_000
     cfg = AbseConfig(beta=0.5, T=T, d=d, gamma_abse=0.5)
@@ -169,11 +189,13 @@ def test_abse_engine_on_cell_edges(d):
     # Bernoulli rewards whose better arm flips at x_0 = 1/2.
     mean = np.where(X[:, :1] < 0.5, [0.8, 0.3], [0.35, 0.7])
     U = g.random((T, 2))
-    a_fast = fast.abse_actions(cfg, X, sim.Rewards(mean, U.T.copy(), ("bernoulli",)))
     seq_pol = AbsePolicy(cfg)
     a_seq = sequential_actions(seq_pol, X, (U < mean).astype(np.float64))
     assert max(k for k, _ in seq_pol.bins) == k0
-    assert np.array_equal(a_fast, a_seq)
+    for block in (rng.BLOCK, 7):
+        monkeypatch.setattr(rng, "BLOCK", block)
+        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        assert np.array_equal(fast.abse_actions(cfg, X, rewards), a_seq)
 
 
 def test_sacb_engine_with_16_bit_bin_keys():

@@ -14,8 +14,12 @@ def former_uniforms(gen, n):
     return gen.integers(1, 1 << 53, size=n).astype(np.float64) / 2 ** 53
 
 
-@pytest.mark.parametrize("n", [1, 7, 100_000])
+# rng.BLOCK - 1, BLOCK and BLOCK + 1, and a partial fourth block: the
+# blocked draws read the variates of one integers() call.
+@pytest.mark.parametrize("n", [1, 7, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                               3 * 2 ** 16 + 5, 100_000])
 def test_open_uniforms_equal_former_formula(n):
+    assert rng.BLOCK == 2 ** 16
     want = former_uniforms(rng.stream(4, 2, 9), n).tobytes()
     assert rng.open_uniforms(rng.stream(4, 2, 9), n).tobytes() == want
     # Into a row of a 2-D array: that row is written, the other is not.

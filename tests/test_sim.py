@@ -59,7 +59,9 @@ class TestEpisode:
         # "none" never plays an inferior arm (random arms on ties), and
         # "ends" is inferior at t = 0 and t = T - 1 only.  Strides 7 and
         # 300 do not divide T.  Every checkpoint must equal the naive cumsum
-        # of best - chosen to the bit, +0.0 included (reprs tell -0.0 apart).
+        # of best - chosen to the bit, +0.0 included (reprs tell -0.0 apart),
+        # whether the accounting takes T in one block or 5 steps at a time,
+        # so that inferior steps straddle block edges.
         inst = ProblemInstance(
             "tie", 1,
             f1=lambda x: np.asarray(x, float),
@@ -77,8 +79,10 @@ class TestEpisode:
                  (np.where(F[:, 0] == F[:, 1], arbitrary, better),
                   lambda t: len(t) == 0),
                  (ends, lambda t: t.tolist() == [0, T - 1])]
-        for (actions, shape), stride in itertools.product(cases, [1, 7, 300]):
-            with mock.patch.object(fast, "run_fast", return_value=actions):
+        for (actions, shape), stride, block in itertools.product(
+                cases, [1, 7, 300], [rng.BLOCK, 5]):
+            with (mock.patch.object(fast, "run_fast", return_value=actions),
+                  mock.patch.object(rng, "BLOCK", block)):
                 tr = run_episode(inst, PolicySpec("fixed", {"arm": 1}), T, seed=6,
                                  checkpoint_stride=stride)
             chosen = F[np.arange(T), actions - 1]
