@@ -7,6 +7,16 @@ instances and property verifiers, and a deterministic, seed-reproducible
 simulation harness with a CLI front end.
 """
 
+import os
+
+# The process pool is the only parallelism: banditlab's BLAS work is
+# LAPACK on stacks of small matrices, where helper threads gain nothing,
+# while the OpenBLAS builds bundled with numpy and scipy each start a
+# helper thread that spins through the rest of the import.  Set before any
+# submodule imports numpy; a value already in the environment wins, and a
+# caller that imported numpy first keeps numpy's own setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (

@@ -21,11 +21,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .abse import AbseConfig
@@ -304,9 +307,20 @@ def run(cfg: dict, out_dir: Path) -> list[dict]:
         (out_dir / "manifest.json").write_text(
             json.dumps({"completed": manifest, "hash": chash}, indent=2))
     (out_dir / "run_meta.json").write_text(json.dumps(
-        {"version": __version__, "config_hash": chash, "config": cfg},
+        {"version": __version__, "config_hash": chash, "config": cfg,
+         "platform": _run_platform()},
         indent=2, sort_keys=True))
     return rows
+
+
+def _run_platform() -> dict:
+    """Where a run ran: the versions its bytes depend on, the CPUs this
+    process may use, and the BLAS thread setting (see `banditlab/__init__`)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpus": cpus,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def _write_results(out_dir: Path, rows: list[dict]) -> None:

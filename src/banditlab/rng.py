@@ -91,5 +91,11 @@ def noise_uniform_block(base_seed: int, rep: int, T: int, arm: int, *,
 
 
 def gaussian_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Standard normals via the inverse CDF (bit-stable across platforms)."""
+    """Standard normals via the inverse CDF.
+
+    Bit-stable for the pinned numpy/scipy on glibc x86_64, as
+    perfbench/reference.json records; scipy's ndtri takes its tails
+    (|u - 1/2| > 1/2 - e^-2) through the C library's log, so another libm
+    may round them differently.
+    """
     return ndtri(u)

@@ -225,7 +225,8 @@ def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
     Replication r of every policy consumes the same covariate and noise
     streams (keyed by (base_seed, r)), so cross-policy comparisons are
     paired.  Results are keyed by policy label, in the order of
-    policy_specs, and deterministic in content regardless of parallelism.
+    policy_specs, and deterministic in content regardless of parallelism,
+    the most worker processes to use.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -234,16 +235,18 @@ def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
         raise ValueError("run_experiment needs at least one policy spec")
     labels = dedup_labels(specs)
 
-    parallel = parallelism > 1
     # A task runs a group of policies on one replication and draws its
     # streams once.  Each replication is split into just enough groups to
     # give every worker a task.
-    groups = min(len(specs), -(-parallelism // reps)) if parallel else 1
+    groups = min(len(specs), -(-parallelism // reps)) if parallelism > 1 else 1
     cuts = [len(specs) * g // groups for g in range(groups + 1)]
     cells = [(instance_spec, T, specs[a:b], rep, base_seed, checkpoint_stride)
              for rep in range(reps) for a, b in zip(cuts, cuts[1:])]
-    if parallel:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as ex:
+    # A fork pool starts all its workers at the first submit, so it gets
+    # no more workers than tasks, and a lone task runs in this process.
+    workers = min(parallelism, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_replication_cell, cells, chunksize=1))
     else:
         results = [_replication_cell(c) for c in cells]

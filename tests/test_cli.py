@@ -1,7 +1,13 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from banditlab import cli, sim
 from banditlab.cli import (
@@ -104,7 +110,11 @@ class TestRun:
         assert text.splitlines()[0] == RESULTS_HEADER
         rows = _read_results(out / "results.csv")
         assert len(rows) == 3
-        assert (out / "run_meta.json").exists()
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["platform"] == {
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "cpus": len(os.sched_getaffinity(0)),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
         assert (out / "manifest.json").exists()
 
     def test_reference_relative_loss_zero(self, tmp_path):
@@ -481,3 +491,35 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_shipped_config_parses_and_prints_levels(path):
     parse_config(path)
     assert main(["levels", "--config", str(path)]) == 0
+
+
+# pytest has imported numpy before banditlab, so only a fresh interpreter
+# shows what importing banditlab does to the BLAS threads.  Its environment
+# is built here: this process's own now carries banditlab's default.
+BLAS_PROBE = """
+import json, os
+from banditlab import cli
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "recorded": cli._run_platform()["openblas_num_threads"]}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset,value", [(None, "1"), ("2", "2")],
+                         ids=["unset", "preset"])
+def test_import_sets_one_blas_thread_unless_preset(preset, value):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    probe = json.loads(out.stdout)
+    # run_meta.json records the environment's value, the user's when preset.
+    assert probe["env"] == probe["recorded"] == value
+    if preset is None:
+        assert probe["threads"] == 1

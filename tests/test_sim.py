@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 from unittest import mock
 
@@ -246,6 +247,34 @@ class TestExperiment:
         for ps, s in zip(policies, res.values()):
             alone = [run_episode(inst, ps, 15_000, 12, rep=r) for r in range(reps)]
             assert s.traces == tuple(alone)
+
+    @pytest.mark.parametrize("n_policies,reps,parallelism,pools", [
+        (1, 1, 8, []),     # a lone task runs in this process
+        (3, 1, 8, [3]),    # three groups of one replication
+        (1, 2, 8, [2]),
+        (2, 4, 2, [2]),
+    ], ids=["one-task", "three-groups", "two-reps", "more-tasks-than-workers"])
+    def test_pool_gets_no_more_workers_than_tasks(self, monkeypatch,
+                                                  n_policies, reps,
+                                                  parallelism, pools):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        policies = [PolicySpec("abse", {"beta": 0.5}), PolicySpec("oracle", {}),
+                    PolicySpec("fixed", {"arm": 1})][:n_policies]
+        res = run_experiment(spec, policies, 2_000, reps=reps, base_seed=12,
+                             parallelism=parallelism)
+        assert sizes == pools
+        serial = run_experiment(spec, policies, 2_000, reps=reps, base_seed=12)
+        assert [s.traces for s in res.values()] == \
+               [s.traces for s in serial.values()]
 
     def test_serial_run_draws_each_replication_once(self):
         spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
