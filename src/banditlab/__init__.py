@@ -8,14 +8,20 @@ simulation harness with a CLI front end.
 """
 
 import os
+import sys
 
 # The process pool is the only parallelism: banditlab's BLAS work is
 # LAPACK on stacks of small matrices, where helper threads gain nothing,
 # while the OpenBLAS builds bundled with numpy and scipy each start a
 # helper thread that spins through the rest of the import.  Set before any
 # submodule imports numpy; a value already in the environment wins, and a
-# caller that imported numpy first keeps numpy's own setting.
+# caller that imported numpy first keeps numpy's own setting.  OpenBLAS
+# reads the variable once, as it loads; run_meta.json records the value
+# numpy's copy read (None: unset, so OpenBLAS's default).
+_numpy_openblas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if "numpy" not in sys.modules:
+    _numpy_openblas_threads = os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, _numpy_openblas_threads
 from .abse import AbseConfig
 from .errors import BanditLabError, ValidationError
 from .instances import (check_holder, check_margin, check_self_similarity,
@@ -197,11 +197,12 @@ def parse_config(path_or_dict) -> dict:
             except (TypeError, ValueError, BanditLabError) as e:
                 problems.append(f"policies[{i}]: {e}")
         else:
-            extra = set(pol) - ({"kind", "arm"} if pkind == "fixed" else {"kind"})
-            if extra:
-                problems.append(f"policies[{i}]: unknown {pkind} keys {sorted(extra)}")
-            if pol.get("arm", 1) not in (1, 2):
-                problems.append(f"policies[{i}].arm must be 1 or 2")
+            # Built as the library builds it; neither kind reads the instance.
+            try:
+                PolicySpec(pkind, {k: v for k, v in pol.items() if k != "kind"}
+                           ).build(None, 1)
+            except ValueError as e:
+                problems.append(f"policies[{i}]: {e}")
         norm_policies.append(pol)
     cfg["policies"] = norm_policies
 
@@ -315,12 +316,13 @@ def run(cfg: dict, out_dir: Path) -> list[dict]:
 
 def _run_platform() -> dict:
     """Where a run ran: the versions its bytes depend on, the CPUs this
-    process may use, and the BLAS thread setting (see `banditlab/__init__`)."""
+    process may use, and the BLAS thread setting numpy's OpenBLAS read
+    (see `banditlab/__init__`)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "cpus": cpus,
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "openblas_num_threads": _numpy_openblas_threads}
 
 
 def _write_results(out_dir: Path, rows: list[dict]) -> None:
@@ -522,10 +524,10 @@ def _cmd_verify(cfg: dict) -> int:
         reports["holder"] = check_holder(inst, meta["beta"], meta["L"], grid_n=400)
     if "alpha" in meta and "C0" in meta:
         reports["margin"] = check_margin(inst, meta["alpha"], meta["C0"])
-    if inst.name == "power" and "b" in meta:
+    if "b" in meta and "l0" in meta:
+        l0 = int(math.ceil(meta["l0"]))
         reports["self_similarity"] = check_self_similarity(
-            inst, meta["beta"], meta["b"], int(math.ceil(meta["l0"])),
-            int(math.ceil(meta["l0"])) + 3, q=2.0, p=0)
+            inst, meta["beta"], meta["b"], l0, l0 + 3, q=2.0, p=0)
     ok = True
     for name, rep in reports.items():
         status = "holds" if rep.holds else "VIOLATED"

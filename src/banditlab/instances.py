@@ -441,93 +441,109 @@ def _instance_arms(obj):
     return [("f", obj)], 1
 
 
-def _grid(d: int, n: int) -> np.ndarray:
-    axis = np.linspace(0.0, 1.0, n)
+def _grid(d: int, grid_n: int):
+    """A regular grid of about grid_n points on [0,1]^d, and its points per axis."""
+    n_axis = grid_n if d == 1 else max(2, int(round(grid_n ** (1 / d))))
+    axis = np.linspace(0.0, 1.0, n_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids], axis=1), n_axis
+
+
+def _report(candidates) -> PropertyReport:
+    """Report on the (slack, witness) candidate of least slack, the first of equals."""
+    margin, witness = math.inf, None
+    for slack, found in candidates:
+        if slack < margin:
+            margin, witness = float(slack), found
+    return PropertyReport(holds=margin >= 0.0, witness=witness,
+                          margin_of_violation=margin)
 
 
 def check_holder(instance, beta: float, L: float,
                  grid_n: int = 200) -> PropertyReport:
-    """Grid check of |f(x') - f_x(x')| <= L ||x - x'||_inf^beta.
+    """Grid check of |f(x') - f(x) - k grad f(x).(x' - x)| <= L ||x - x'||_inf^beta.
 
-    For beta <= 1 the Taylor term is f(x) itself; for beta in (1, 2] the
-    gradient is taken by central differences with step 1e-4 and the check
-    tolerance widens to 1e-3 to absorb the discretization.
+    k = floor_strict(beta), so for beta <= 1 the Taylor term is f(x) itself;
+    for beta in (1, 2] the gradient is taken by central differences with
+    step 1e-4 and the check tolerance widens to 1e-3 to absorb the
+    discretization.
     """
     arms, d = _instance_arms(instance)
     k = floor_strict(beta)
     if k > 1:
         raise NotImplementedError("check_holder supports beta <= 2")
-    tol = 1e-3 if k >= 1 else 0.0
-    pts = _grid(d, grid_n if d == 1 else max(2, int(round(grid_n ** (1 / d)))))
-    n = len(pts)
-    worst = None
-    margin = math.inf
-    for arm_name, f in arms:
+    pts, _ = _grid(d, grid_n)
+    offsets = pts[None, :, :] - pts[:, None, :]        # [i, j] = x_j - x_i
+    dist = np.max(np.abs(offsets), axis=2)
+
+    def worst(arm_name, f):
         vals = eval_points(f, pts)
-        if k == 0:
-            diff = np.abs(vals[:, None] - vals[None, :])
-        else:
-            grads = np.empty((n, d))
-            for j in range(d):
-                shift = np.zeros(d)
-                shift[j] = 1e-4
-                hi = np.clip(pts + shift, 0.0, 1.0)
-                lo = np.clip(pts - shift, 0.0, 1.0)
-                grads[:, j] = ((eval_points(f, hi) - eval_points(f, lo))
-                               / (hi[:, j] - lo[:, j]))
-            taylor = vals[:, None] + np.einsum(
-                "ij,kij->ik", grads, pts[None, :, :] - pts[:, None, :])
-            diff = np.abs(vals[None, :] - taylor)
-        dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+        grads = np.empty(pts.shape)
+        for j, shift in enumerate(1e-4 * np.eye(d)):
+            hi, lo = np.clip(pts + shift, 0.0, 1.0), np.clip(pts - shift, 0.0, 1.0)
+            grads[:, j] = ((eval_points(f, hi) - eval_points(f, lo))
+                           / (hi[:, j] - lo[:, j]))
+        taylor = vals[:, None] + k * np.einsum("ik,ijk->ij", grads, offsets)
+        diff = np.abs(vals[None, :] - taylor)
         with np.errstate(invalid="ignore"):
-            slack = L * dist ** beta + tol - diff
+            slack = L * dist ** beta + 1e-3 * k - diff
         np.fill_diagonal(slack, math.inf)
         idx = np.unravel_index(np.argmin(slack), slack.shape)
-        if slack[idx] < margin:
-            margin = float(slack[idx])
-            worst = {
-                "arm": arm_name,
-                "x": tuple(pts[idx[0]].tolist()),
-                "x_prime": tuple(pts[idx[1]].tolist()),
-                "deviation": float(diff[idx]),
-                "bound": float(L * dist[idx] ** beta),
-            }
-    return PropertyReport(holds=margin >= 0.0, witness=worst,
-                          margin_of_violation=margin)
+        return slack[idx], {
+            "arm": arm_name,
+            "x": tuple(pts[idx[0]].tolist()),
+            "x_prime": tuple(pts[idx[1]].tolist()),
+            "deviation": float(diff[idx]),
+            "bound": float(L * dist[idx] ** beta),
+        }
+
+    return _report(worst(*arm) for arm in arms)
 
 
 def check_margin(instance: ProblemInstance, alpha: float, C0: float,
                  grid_n: int = 100_000, delta_grid=None) -> PropertyReport:
-    """Grid estimate of P{0 < |f1 - f2| <= delta} against C0 delta^alpha."""
+    """Grid estimate of P{0 < |f1 - f2| <= delta} against C0 delta^alpha,
+    with a tolerance of 8 grid spacings."""
     deltas = np.asarray(delta_grid if delta_grid is not None
                         else np.geomspace(1e-3, 1.0, 13), dtype=float)
     if np.any((deltas <= 0) | (deltas > 1)):
         raise ValueError("delta grid must lie in (0, 1]")
-    d = instance.d
-    n_axis = grid_n if d == 1 else max(2, int(round(grid_n ** (1 / d))))
-    pts = _grid(d, n_axis)
+    pts, n_axis = _grid(instance.d, grid_n)
     gaps = np.abs(eval_points(instance.f1, pts) - eval_points(instance.f2, pts))
-    tol = 8.0 / n_axis ** (1 / d) + 1e-12
-    margin = math.inf
-    worst = None
-    for delta in deltas:
+    tol = 8.0 / n_axis + 1e-12
+
+    def candidate(delta):
         prob = float(np.mean((gaps > 0) & (gaps <= delta)))
-        slack = C0 * delta ** alpha + tol - prob
-        if slack < margin:
-            margin = float(slack)
-            worst = {"delta": float(delta), "probability": prob,
-                     "bound": float(C0 * delta ** alpha)}
-    return PropertyReport(holds=margin >= 0.0, witness=worst,
-                          margin_of_violation=margin)
+        return C0 * delta ** alpha + tol - prob, {
+            "delta": float(delta), "probability": prob,
+            "bound": float(C0 * delta ** alpha)}
+
+    return _report(map(candidate, deltas))
 
 
-def _projection_biases(f, box, p: int, h: float, pts: np.ndarray,
-                        nodes_per_axis: int) -> np.ndarray:
-    """|Gamma_h^p f(x; box) - f(x)| at each of the (n, d) points pts."""
-    proj = project_to_polynomial(f, box, p, h, nodes_per_axis=nodes_per_axis)
-    return np.abs(np.array([proj(x) for x in pts]) - eval_points(f, pts))
+def _level_sweep(obj, q: float, p: int, levels, probe_per_axis: int,
+                 nodes_per_axis: int):
+    """Per level l, the largest |Gamma_h^p f(x; B) - f(x)|, h = q^-l, over
+    the exact q-adic cells B, the arms f of obj (an instance or a d = 1
+    function) and x on an in-cell probe grid and B's corners: yields the
+    level, arm, x and bias where it is reached."""
+    arms, d = _instance_arms(obj)
+    upper = _grid(d, 2)[0] > 0          # which coordinates of each corner are hi
+    for level in levels:
+        h = q ** (-level)
+        where = {"level": level, "bias": -math.inf}
+        for box in qadic_boxes(d, q, level):
+            pts = np.vstack([box.midpoint_nodes(probe_per_axis)[0],
+                             np.where(upper, box.hi, box.lo)])
+            for arm, f in arms:
+                proj = project_to_polynomial(f, box, p, h,
+                                             nodes_per_axis=nodes_per_axis)
+                biases = np.abs(np.array([proj(x) for x in pts]) - eval_points(f, pts))
+                i = int(np.argmax(biases))
+                if biases[i] > where["bias"]:
+                    where = {"level": level, "arm": arm,
+                             "x": tuple(pts[i].tolist()), "bias": float(biases[i])}
+        yield where
 
 
 def check_self_similarity(instance: ProblemInstance, beta: float, b: float,
@@ -538,41 +554,20 @@ def check_self_similarity(instance: ProblemInstance, beta: float, b: float,
 
     For every level l in [l0, l_max] the maximum of
     |Gamma_{q^-l}^p f_k(x; B) - f_k(x)| over exact q-adic cells B, arms k,
-    and an in-cell probe grid must reach b q^{-l beta}.
+    and x on an in-cell probe grid and B's corners must reach b q^{-l beta}.
     """
     if l_max < l0:
         raise ValueError("l_max must be >= l0")
     if p < floor_strict(beta):
         raise ValueError(f"degree p={p} below floor_strict(beta)={floor_strict(beta)}")
-    d = instance.d
-    margin = math.inf
-    worst = None
-    for level in range(int(math.ceil(l0)), int(l_max) + 1):
-        h = q ** (-level)
-        best = -math.inf
-        best_at = None
-        for box in qadic_boxes(d, q, level):
-            probes = box.midpoint_nodes(probe_per_axis)[0]
-            edges = np.array(np.meshgrid(*[np.array([lo, hi]) for lo, hi in
-                                           zip(box.lo, box.hi)],
-                                         indexing="ij")).reshape(d, -1).T
-            eval_pts = np.vstack([probes, edges])
-            for arm, f in (("f1", instance.f1), ("f2", instance.f2)):
-                biases = _projection_biases(f, box, p, h, eval_pts,
-                                            nodes_per_axis)
-                i = int(np.argmax(biases))
-                if biases[i] > best:
-                    best = float(biases[i])
-                    best_at = {"level": level, "arm": arm,
-                               "x": tuple(eval_pts[i].tolist()), "bias": best}
-        required = b * q ** (-level * beta)
-        slack = best - required
-        if slack < margin:
-            margin = float(slack)
-            worst = dict(best_at or {})
-            worst["required"] = float(required)
-    return PropertyReport(holds=margin >= 0.0, witness=worst,
-                          margin_of_violation=margin)
+    levels = range(int(math.ceil(l0)), int(l_max) + 1)
+
+    def candidate(where):
+        required = b * q ** (-where["level"] * beta)
+        return where["bias"] - required, {**where, "required": float(required)}
+
+    return _report(map(candidate, _level_sweep(instance, q, p, levels,
+                                               probe_per_axis, nodes_per_axis)))
 
 
 def projection_bias_constant(f, beta: float, p: int, q: float, levels,
@@ -580,14 +575,8 @@ def projection_bias_constant(f, beta: float, p: int, q: float, levels,
                              nodes_per_axis: int = 2048) -> float:
     """Empirical upper-bound constant of a d = 1 function f: the max over
     levels of sup |Gamma f - f| / h^beta."""
-    worst = 0.0
-    for level in levels:
-        h = q ** (-level)
-        for box in qadic_boxes(1, q, level):
-            probes = box.midpoint_nodes(probe_per_axis)[0]
-            biases = _projection_biases(f, box, p, h, probes, nodes_per_axis)
-            worst = max(worst, np.max(biases / h ** beta))
-    return worst
+    sweep = _level_sweep(f, q, p, levels, probe_per_axis, nodes_per_axis)
+    return max([0.0] + [w["bias"] / (q ** -w["level"]) ** beta for w in sweep])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ class FixedArmPolicy:
     kind = "fixed"
 
     def __init__(self, arm: int):
-        if arm not in (1, 2):
-            raise ValueError(f"arm must be 1 or 2, got {arm}")
-        self.arm = arm
+        # An integer only: a bool is an int to Python, and 2.0 == 2.
+        if (isinstance(arm, bool) or not isinstance(arm, (int, np.integer))
+                or arm not in (1, 2)):
+            raise ValueError(f"arm must be 1 or 2, got {arm!r}")
+        self.arm = int(arm)
 
     def choose(self, x) -> int:
         return self.arm
@@ -70,10 +72,12 @@ class PolicySpec:
         from .sacb import SacbConfig, SacbPolicy
 
         p = dict(self.params)
-        if self.kind == "fixed":
-            return FixedArmPolicy(int(p.get("arm", 1)))
-        if self.kind == "oracle":
-            return OraclePolicy(instance)
+        if self.kind in ("fixed", "oracle"):
+            policy = (FixedArmPolicy(p.pop("arm", 1)) if self.kind == "fixed"
+                      else OraclePolicy(instance))
+            if p:
+                raise ValueError(f"unknown {self.kind} keys {sorted(p)}")
+            return policy
         if instance.noise[0] == "gaussian":
             p.setdefault("noise_scale", instance.noise[1])
         if self.kind == "abse":

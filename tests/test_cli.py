@@ -79,6 +79,20 @@ class TestParse:
         for lib, cli in zip(lib_specs, cli_specs, strict=True):
             assert lib.build(inst, T).config == cli.build(inst, T).config
 
+    # Each of these built in the library (arm 1, arm 2, an oracle, arm 1 and
+    # arm 2); parse_config rejected the first three and passed the last two.
+    @pytest.mark.parametrize("kind,params", [
+        ("fixed", {"armm": 2}), ("fixed", {"arm": "2"}), ("oracle", {"arm": 2}),
+        ("fixed", {"arm": True}), ("fixed", {"arm": 2.0}),
+    ], ids=["fixed-key", "string-arm", "oracle-key", "bool-arm", "float-arm"])
+    def test_library_and_cli_reject_the_same_reference_specs(self, kind, params):
+        inst = make_instance(MINIMAL["instance"], MINIMAL["T"])
+        with pytest.raises(ValueError) as lib:
+            PolicySpec(kind, params).build(inst, MINIMAL["T"])
+        with pytest.raises(ValidationError) as err:
+            parse_config(dict(MINIMAL, policies=[{"kind": kind, **params}]))
+        assert err.value.problems == [f"policies[0]: {lib.value}"]
+
 
 def small_config(tmp_path, **over):
     cfg = {
@@ -114,7 +128,7 @@ class TestRun:
         assert meta["platform"] == {
             "python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "cpus": len(os.sched_getaffinity(0)),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "openblas_num_threads": cli._numpy_openblas_threads}
         assert (out / "manifest.json").exists()
 
     def test_reference_relative_loss_zero(self, tmp_path):
@@ -191,8 +205,9 @@ class TestRun:
 
     # Each of these used to pass parsing: the first then ran with gamma
     # 0.145, the next two failed mid-run (exit 3, partial results.csv).  A
-    # misspelled fixed key ran arm 1, oracle took any key, and an empty
-    # tilde_beta sweep dropped the anonymous abse (exit 0, one row).
+    # misspelled fixed key ran arm 1, oracle took any key, a true arm ran
+    # arm 1, and an empty tilde_beta sweep dropped the anonymous abse (exit
+    # 0, one row).
     @pytest.mark.parametrize("over,match", [
         ({"policies": [{"kind": "sacb", "gama": 9.0}]}, "gama"),
         ({"policies": [{"kind": "abse"}], "sweep": {"tilde_beta": [0.5, 1.2]}},
@@ -202,10 +217,12 @@ class TestRun:
          r"unknown fixed keys \['armm'\]"),
         ({"policies": [{"kind": "oracle", "arm": 2}]},
          r"unknown oracle keys \['arm'\]"),
+        ({"policies": [{"kind": "fixed", "arm": True}]},
+         "arm must be 1 or 2, got True"),
         ({"policies": [{"kind": "abse"}, {"kind": "abse", "beta": 0.9}],
           "sweep": {"tilde_beta": []}}, "sweep.tilde_beta must not be empty"),
     ], ids=["unknown-key", "tilde-beta-range", "negative-c0", "fixed-key",
-            "oracle-key", "empty-sweep"])
+            "oracle-key", "bool-arm", "empty-sweep"])
     def test_policy_config_error_exits_2_before_writing(self, tmp_path, over,
                                                         match):
         p = small_config(tmp_path, **over)
@@ -482,6 +499,25 @@ class TestSweepAndPlot:
         assert "self_similarity: holds" in out and "witness={" in out
         assert "np.float64" not in out
 
+    # verify grades (beta, L) and (alpha, C0) where they are declared.  The
+    # at-least-lipschitz nominal member declares beta = 1.5 for a linear
+    # payoff, which a wrong-sign Taylor term reported as a holder violation
+    # (deviation 0.0551, exit 1).
+    @pytest.mark.parametrize("instance,graded", [
+        ({"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}},
+         ["holder: holds", "margin: holds"]),
+        ({"kind": "lower_bound", "beta": 1.0, "gamma": 1.5, "alpha": 1,
+          "delta": 0.2, "variant": "at-least-lipschitz", "member": 0},
+         ["holder: holds", "margin: holds"]),
+    ], ids=["setting1", "lower-bound-smooth"])
+    def test_verify_grades_each_declared_property(self, tmp_path, capsys,
+                                                  instance, graded):
+        p = small_config(tmp_path, instance=instance,
+                         policies=[{"kind": "oracle"}])
+        assert main(["verify", "--config", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [ln.split(" margin=")[0] for ln in lines] == graded
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -505,21 +541,26 @@ print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
 """
 
 
+# run_meta.json records the value numpy's OpenBLAS read: the user's when
+# preset, and none when numpy loaded first with the variable unset, though
+# banditlab still sets it for scipy.  That last case recorded "1".
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="needs /proc/self/task")
-@pytest.mark.parametrize("preset,value", [(None, "1"), ("2", "2")],
-                         ids=["unset", "preset"])
-def test_import_sets_one_blas_thread_unless_preset(preset, value):
+@pytest.mark.parametrize("preset,numpy_first,env_value,recorded", [
+    (None, False, "1", "1"), ("2", False, "2", "2"), (None, True, "1", None),
+], ids=["unset", "preset", "numpy-first"])
+def test_import_sets_one_blas_thread_unless_preset(preset, numpy_first,
+                                                   env_value, recorded):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+    code = ("import numpy\n" if numpy_first else "") + BLAS_PROBE
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     probe = json.loads(out.stdout)
-    # run_meta.json records the environment's value, the user's when preset.
-    assert probe["env"] == probe["recorded"] == value
-    if preset is None:
+    assert (probe["env"], probe["recorded"]) == (env_value, recorded)
+    if preset is None and not numpy_first:
         assert probe["threads"] == 1

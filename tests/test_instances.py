@@ -220,6 +220,19 @@ class TestVerifiers:
         assert not xs_probe.holds
         assert xs_probe.margin_of_violation < 0
 
+    # The beta in (1, 2] Taylor term had the wrong sign: it added
+    # grad f(x).(x - x') where the expansion has grad f(x).(x' - x), so a
+    # linear payoff "violated" beta = 1.5 by twice slope x gap and x^1.5
+    # failed at L = 1.
+    @pytest.mark.parametrize("f,L,holds", [
+        (lambda x: 0.7 * np.asarray(x, float), 1e-6, True),
+        (lambda x: np.asarray(x, float) ** 1.5, 1.0, True),
+        (lambda x: np.asarray(x, float) ** 1.5, 0.5, False),
+    ], ids=["linear", "power-at-L", "power-below-L"])
+    def test_holder_above_one_expands_to_first_order(self, f, L, holds):
+        rep = check_holder(f, 1.5, L)
+        assert rep.holds is holds, rep.witness
+
     def test_margin_trivial_when_gap_zero(self):
         inst = make_power_payoff(0.6, 1.0)
         zero_gap = type(inst)(
@@ -241,6 +254,31 @@ class TestVerifiers:
         assert rep.holds
         got = rep.witness["probability"]
         assert got == pytest.approx(rep.witness["delta"], abs=5e-3)
+
+    # The d >= 2 tolerance was 8 / n_axis^(1/d), about 0.45 here, with
+    # n_axis already a per-axis count; it hid this excess of 0.197 and
+    # reported margin +0.253.
+    def test_margin_tolerance_is_eight_spacings_in_2d(self):
+        inst = make_instance({"kind": "lower_bound", "beta": 0.5, "gamma": 0.9,
+                              "alpha": 1.0, "delta": 0.25, "member": 1, "d": 2},
+                             T_EXP)
+        rep = check_margin(inst, 1.0, 2.5)
+        assert not rep.holds
+        assert rep.witness["delta"] == pytest.approx(10 ** -0.5)
+        assert rep.witness["probability"] == pytest.approx(0.987, abs=1e-3)
+        assert rep.margin_of_violation == pytest.approx(
+            0.7906 + 8 / 316 - 0.9874, abs=1e-3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("args", [(0.5, 0.9, 1.0, 0.25, "at-most-lipschitz"),
+                                      (1.0, 1.5, 1.0, 0.2, "at-least-lipschitz")],
+                             ids=["at-most", "at-least"])
+    def test_lower_bound_members_pass_declared_checks(self, args, d):
+        for inst in make_lower_bound_family(*args, d=d):
+            hol = check_holder(inst, inst.meta["beta"], inst.meta["L"])
+            assert hol.holds, (inst.meta["member"], hol.witness)
+            mar = check_margin(inst, inst.meta["alpha"], inst.meta["C0"])
+            assert mar.holds, (inst.meta["member"], mar.witness)
 
     def test_margin_setting_two_declared_constants(self):
         inst = make_setting_two(0.5, T_EXP)
@@ -289,6 +327,9 @@ class TestVerifiers:
         l0_hat = projection_bias_constant(inst.f1, 0.6, 0, 2.0, [1, 2],
                                           probe_per_axis=33,
                                           nodes_per_axis=1024)
+        # With the cell corners probed, the sup is attained at x = 0 and
+        # equals the self-similarity constant b = 1/(beta + 1).
+        assert l0_hat == pytest.approx(inst.meta["b"], rel=1e-5)
         for level in (3, 4):
             worst = projection_bias_constant(inst.f1, 0.6, 0, 2.0, [level],
                                              probe_per_axis=33,
