@@ -2,16 +2,20 @@
 
 Subcommands
 -----------
-run     execute the experiment grid, write results.csv (+ traces, plotdata)
-verify  grade the configured instance's declared properties
-levels  print the SACB level arithmetic for the configured policy
+run     execute the run plan, write results.csv (+ traces, plotdata)
+verify  grade the declared properties of every group's instance
+levels  print the level arithmetic of every SACB policy of every group
 plot    regenerate plot/table CSVs and SVG charts from results.csv
 
-The config file is JSON; `parse_config` fills each sacb/abse policy's
-tuning from the SacbConfig/AbseConfig defaults (the published table),
-checks it by building that config, and normalizes the file; the SHA-256
-prefix of its sorted-key JSON stamps every output file.  Exit codes: 0 ok,
-2 config error, 3 runtime failure (with a manifest of completed cells).
+Every subcommand reads one run plan (`plan`): the sweep cells, grouped by
+the instance they share, (T, beta), each group with its distinct policy
+specs.  The config file is JSON; `parse_config` fills each sacb/abse
+policy's tuning from the SacbConfig/AbseConfig defaults (the published
+table), checks the config by building every group's instance and specs
+as an episode does (`PolicySpec.build`), and normalizes the file; the
+SHA-256 prefix of its sorted-key JSON stamps every output file.  Exit
+codes: 0 ok, 2 config error, 3 runtime failure (with a manifest of
+completed cells).
 """
 
 from __future__ import annotations
@@ -24,20 +28,16 @@ import math
 import os
 import platform
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__, _numpy_openblas_threads
-from .abse import AbseConfig
 from .errors import BanditLabError, ValidationError
 from .instances import (check_holder, check_margin, check_self_similarity,
                         make_instance)
-from .partition import cells_per_axis, sacb_levels
-from .policies import PolicySpec
-from .sacb import SacbConfig
+from .policies import PolicySpec, tuning_defaults
 from .sim import dedup_labels, run_experiment
 
 RESULTS_HEADER = ("config_hash,instance,beta,tilde_beta,policy,T,reps,"
@@ -48,12 +48,6 @@ INSTANCE_KINDS = ("setting1", "setting2", "power", "lower_bound", "example1")
 POLICY_KINDS = ("sacb", "abse", "oracle", "fixed")
 CONFIG_KEYS = ("instance", "policies", "T", "reps", "base_seed", "threads",
                "traces", "checkpoint_stride", "sweep", "output_dir")
-
-
-def tuning_defaults(config_cls) -> dict:
-    """A config class's published defaults, less the fields each run sets."""
-    return {f.name: f.default for f in fields(config_cls)
-            if f.name not in ("beta", "T", "d", "noise_scale")}
 
 
 def _integer(value, name: str, problems: list, low: int | None = None):
@@ -146,21 +140,17 @@ def parse_config(path_or_dict) -> dict:
             cfg["sweep"][key] = list(values)
 
     cfg["T"] = _integer(raw.get("T", 0), "T", problems, low=1)
-    # Every horizon a run uses, as _cells takes them.
+    # The horizons and instance betas of the cells that are well formed.
     horizons = [_integer(t, "sweep.T", problems, low=1)
                 for t in cfg["sweep"].get("T", [])]
     horizons = [t for t in horizons or [cfg["T"]] if t is not None]
-
-    # Build the instance at every (T, beta) a run uses, as _cells takes them.
-    if kind in INSTANCE_KINDS and "beta" in inst:
-        for T, beta in itertools.product(horizons, cfg["sweep"].get("beta")
-                                         or [inst["beta"]]):
-            try:
-                make_instance({**inst, "beta": beta}, T)
-            except KeyError as e:
-                problems.append(f"instance: {kind} needs {e}")
-            except (TypeError, ValueError, BanditLabError) as e:
-                problems.append(f"instance: {e}")
+    betas = []
+    for beta in (cfg["sweep"].get("beta")
+                 or ([inst["beta"]] if "beta" in inst else [])):
+        try:
+            betas.append(float(beta))
+        except (TypeError, ValueError) as e:
+            problems.append(f"instance: {e}")
 
     policies = raw.get("policies") or []
     if not isinstance(policies, list):
@@ -168,43 +158,18 @@ def parse_config(path_or_dict) -> dict:
         policies = []
     elif not policies:
         problems.append("at least one policy is required")
-    norm_policies = []
+    planned = []                         # (index in policies, normalized policy)
     for i, pol in enumerate(policies):
         if not isinstance(pol, dict):
             problems.append(f"policies[{i}] must be a JSON object, got {pol!r}")
             continue
-        pol = dict(pol)
         pkind = pol.get("kind")
         if pkind not in POLICY_KINDS:
             problems.append(f"policies[{i}].kind must be one of {POLICY_KINDS}")
             continue
-        if pkind in ("sacb", "abse"):
-            pol = {**tuning_defaults(SacbConfig if pkind == "sacb" else AbseConfig),
-                   **pol}
-            tuning = {k: v for k, v in pol.items() if k != "kind"}
-            # Build the config at every horizon, as a run would.  No check
-            # of either constructor depends on d, so d = 1 stands in for it.
-            try:
-                if pkind == "sacb":
-                    sc = SacbConfig(**tuning)
-                    for T in horizons:
-                        sacb_levels(T, 1, sc.q, sc.beta_lo, sc.beta_hi, sc.upsilon)
-                else:
-                    betas = ([tuning.pop("beta")] if "beta" in tuning
-                             else cfg["sweep"].get("tilde_beta", []))
-                    for T, beta in itertools.product(horizons, betas):
-                        AbseConfig(beta=beta, T=T, d=1, **tuning)
-            except (TypeError, ValueError, BanditLabError) as e:
-                problems.append(f"policies[{i}]: {e}")
-        else:
-            # Built as the library builds it; neither kind reads the instance.
-            try:
-                PolicySpec(pkind, {k: v for k, v in pol.items() if k != "kind"}
-                           ).build(None, 1)
-            except ValueError as e:
-                problems.append(f"policies[{i}]: {e}")
-        norm_policies.append(pol)
-    cfg["policies"] = norm_policies
+        planned.append((i, {**tuning_defaults(pkind), **pol}
+                            if pkind in ("sacb", "abse") else dict(pol)))
+    cfg["policies"] = [pol for _, pol in planned]
 
     cfg["reps"] = _integer(raw.get("reps", 1), "reps", problems, low=1)
     cfg["base_seed"] = _integer(raw.get("base_seed", 20240601), "base_seed", problems)
@@ -219,12 +184,40 @@ def parse_config(path_or_dict) -> dict:
     if not isinstance(cfg["output_dir"], str):
         problems.append(f"output_dir must be a string, got {cfg['output_dir']!r}")
 
-    needs_tilde = any(p["kind"] == "abse" and "beta" not in p for p in norm_policies)
+    needs_tilde = any(p["kind"] == "abse" and "beta" not in p for p in cfg["policies"])
     if needs_tilde and "tilde_beta" not in cfg["sweep"]:
         problems.append("abse policy without beta requires sweep.tilde_beta")
 
-    if problems:
-        raise ValidationError(problems)
+    # Build each group's instance and distinct specs as run_episode does.  A
+    # group whose instance is a config error, or that has no well-formed
+    # beta (planned at a stand-in 0), builds its specs with instance None.
+    # An abse without beta is planned only with a well-formed tilde_beta.
+    planned = [(i, p) for i, p in planned if p["kind"] != "abse" or "beta" in p
+               or cfg["sweep"].get("tilde_beta")]
+    cells, groups = plan({**cfg, "policies": [p for _, p in planned],
+                          "sweep": {**cfg["sweep"], "T": horizons,
+                                    "beta": betas or [0.0]}})
+    index = {}                           # spec key -> its first policy's index
+    for _, keys, _ in cells:
+        for (i, _), key in zip(planned, keys):
+            index.setdefault(key, i)
+    for (T, beta), specs in groups.items():
+        instance = None
+        if kind in INSTANCE_KINDS and betas:
+            try:
+                instance = make_instance({**inst, "beta": beta}, T)
+            except KeyError as e:
+                problems.append(f"instance: {kind} needs {e}")
+            except (TypeError, ValueError, BanditLabError) as e:
+                problems.append(f"instance: {e}")
+        for key, spec in specs.items():
+            try:
+                spec.build(instance, T)
+            except (TypeError, ValueError, BanditLabError) as e:
+                problems.append(f"policies[{index[key]}]: {e}")
+
+    if problems:                         # a problem of several groups once
+        raise ValidationError(list(dict.fromkeys(problems)))
     return cfg
 
 
@@ -236,7 +229,7 @@ def config_hash(cfg: dict) -> str:
 def _cells(cfg: dict):
     """Cross product of sweep values; each cell fixes (T, tilde_beta, beta)."""
     sweep = cfg["sweep"]
-    t_vals = sweep.get("T") or [cfg["T"]]
+    t_vals = sweep.get("T", [cfg["T"]])
     tb_vals = sweep.get("tilde_beta") or [None]
     beta_vals = sweep.get("beta") or [cfg["instance"]["beta"]]
     for T, tb, beta in itertools.product(t_vals, tb_vals, beta_vals):
@@ -254,20 +247,29 @@ def _cell_policies(cfg: dict, cell: dict):
     return specs, dedup_labels(specs)
 
 
-def run(cfg: dict, out_dir: Path) -> list[dict]:
-    """Execute the run plan; returns result rows and writes results.csv.
-
-    The cells that share an instance, (T, beta), run their distinct policy
-    specs (kind and sorted params, not labels) once, in one run_experiment.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    chash = config_hash(cfg)
-    cells, groups = [], {}       # groups: (T, beta) -> {spec key: spec}
+def plan(cfg: dict):
+    """The run plan: cells, a list of (cell, spec keys, labels) with one key
+    and label per config policy, and groups, which maps each instance,
+    (T, beta), to the distinct specs of its cells by key (kind and sorted
+    params, not label)."""
+    cells, groups = [], {}
     for cell in _cells(cfg):
         specs, labels = _cell_policies(cfg, cell)
         keys = [(ps.kind, repr(sorted(ps.params.items()))) for ps in specs]
         groups.setdefault((cell["T"], cell["beta"]), {}).update(zip(keys, specs))
         cells.append((cell, keys, labels))
+    return cells, groups
+
+
+def run(cfg: dict, out_dir: Path) -> list[dict]:
+    """Execute the run plan; returns result rows and writes results.csv.
+
+    Each group of the `plan` runs its distinct specs once, in one
+    run_experiment.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    chash = config_hash(cfg)
+    cells, groups = plan(cfg)
     finished = {}                # (T, beta) -> {spec key: summary}
     try:
         for (T, beta), distinct in groups.items():
@@ -515,38 +517,40 @@ def _cmd_run(cfg: dict, out_dir: Path, figures: list[str]) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    inst = make_instance({**cfg["instance"], "beta": next(_cells(cfg))["beta"]},
-                         cfg["T"])
-    meta = inst.meta
-    print(f"instance {inst.name} d={inst.d} noise={inst.noise}")
-    reports = {}
-    if "beta" in meta and "L" in meta:
-        reports["holder"] = check_holder(inst, meta["beta"], meta["L"], grid_n=400)
-    if "alpha" in meta and "C0" in meta:
-        reports["margin"] = check_margin(inst, meta["alpha"], meta["C0"])
-    if "b" in meta and "l0" in meta:
-        l0 = int(math.ceil(meta["l0"]))
-        reports["self_similarity"] = check_self_similarity(
-            inst, meta["beta"], meta["b"], l0, l0 + 3, q=2.0, p=0)
     ok = True
-    for name, rep in reports.items():
-        status = "holds" if rep.holds else "VIOLATED"
-        print(f"{name}: {status} margin={rep.margin_of_violation:.3e} "
-              f"witness={rep.witness}")
-        ok = ok and rep.holds
+    for T, beta in plan(cfg)[1]:
+        inst = make_instance({**cfg["instance"], "beta": beta}, T)
+        meta = inst.meta
+        print(f"instance {inst.name} T={T} beta={beta} d={inst.d} noise={inst.noise}")
+        reports = {}
+        if "beta" in meta and "L" in meta:
+            reports["holder"] = check_holder(inst, meta["beta"], meta["L"], grid_n=400)
+        if "alpha" in meta and "C0" in meta:
+            reports["margin"] = check_margin(inst, meta["alpha"], meta["C0"])
+        if "b" in meta and "l0" in meta:
+            l0 = int(math.ceil(meta["l0"]))
+            reports["self_similarity"] = check_self_similarity(
+                inst, meta["beta"], meta["b"], l0, l0 + 3, q=2.0, p=0)
+        for name, rep in reports.items():
+            status = "holds" if rep.holds else "VIOLATED"
+            print(f"{name}: {status} margin={rep.margin_of_violation:.3e} "
+                  f"witness={rep.witness}")
+            ok = ok and rep.holds
     return 0 if ok else 1
 
 
 def _cmd_levels(cfg: dict) -> int:
-    sacb = next((p for p in cfg["policies"] if p["kind"] == "sacb"),
-                tuning_defaults(SacbConfig))
-    d = make_instance(cfg["instance"], cfg["T"]).d
-    lv = sacb_levels(cfg["T"], d, sacb["q"], sacb["beta_lo"], sacb["beta_hi"],
-                     sacb["upsilon"])
-    print(f"T={cfg['T']} d={d} q={sacb['q']} "
-          f"beta=[{sacb['beta_lo']},{sacb['beta_hi']}] upsilon={sacb['upsilon']}")
-    print(f"l={lv.l} r_bar={lv.r_bar} j1={lv.j1} j2={lv.j2} l_tilde={lv.l_tilde}")
-    print(f"bins_per_axis={cells_per_axis(sacb['q'], lv.l)}")
+    sacb = [(T, beta, spec) for (T, beta), specs in plan(cfg)[1].items()
+            for spec in specs.values() if spec.kind == "sacb"]
+    for T, beta, spec in sacb:
+        policy = spec.build(make_instance({**cfg["instance"], "beta": beta}, T), T)
+        c, lv = policy.config, policy.levels
+        print(f"T={T} beta={beta} d={policy.d}: sacb q={c.q} "
+              f"beta_lo={c.beta_lo} beta_hi={c.beta_hi} upsilon={c.upsilon}")
+        print(f"l={lv.l} r_bar={lv.r_bar} j1={lv.j1} j2={lv.j2} l_tilde={lv.l_tilde}")
+        print(f"bins_per_axis={policy.partition.per_axis}")
+    if not sacb:
+        print("no sacb policy in the config")
     return 0
 
 

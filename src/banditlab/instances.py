@@ -21,6 +21,17 @@ from .projection import eval_points, project_to_polynomial
 GAUSSIAN_SIGMA_DEFAULT = 0.05
 
 
+def check_noise(noise) -> tuple:
+    """noise as a tuple, ("gaussian", sigma > 0 finite) or ("bernoulli",)."""
+    model = tuple(noise) if isinstance(noise, (list, tuple)) else ()
+    sigma = model[1] if len(model) == 2 and model[0] == "gaussian" else None
+    real = isinstance(sigma, float) or type(sigma) is int     # not a bool
+    if model == ("bernoulli",) or (real and 0 < sigma < math.inf):
+        return model
+    raise ValueError(f"unknown noise model {noise!r}: use ['gaussian', sigma] "
+                     "with sigma > 0 finite, or ['bernoulli']")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Two-armed contextual bandit instance on [0,1]^d.
@@ -150,7 +161,7 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
     L1 = ov.get("L1", 1.0)
     C = ov.get("C", C)
     alpha = ov.get("alpha", 1.0 / beta if alpha is None else alpha)
-    sigma = ov.get("sigma", GAUSSIAN_SIGMA_DEFAULT)
+    noise = check_noise(("gaussian", ov.get("sigma", GAUSSIAN_SIGMA_DEFAULT)))
     M = float(ov["M"]) if "M" in ov else scale(tau)
     # Bumps j with (j + 1)/M <= 1 keep their support inside (1/2, 1), which
     # is what keeps f1 continuous at 1/2; the nominal count M^(1-alpha*beta)
@@ -194,9 +205,9 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
     meta = {
         "beta": beta, "L": L_decl, "alpha": alpha,
         "C0": C0, "M": M, "m": m, "amplitude": amp, "bump_centers": a,
-        "sigma": sigma, "tau": tau, "C": C, "L1": L1, **extra,
+        "sigma": noise[1], "tau": tau, "C": C, "L1": L1, **extra,
     }
-    return _instance(name, 1, f1, f2, ("gaussian", sigma), meta)
+    return _instance(name, 1, f1, f2, noise, meta)
 
 
 def make_setting_one(beta: float, T: int, overrides: dict | None = None) -> ProblemInstance:
@@ -255,8 +266,9 @@ def make_power_payoff(beta: float, delta: float,
         "l0": -math.log2(delta) / beta,
         "alpha": 1.0 / beta,
     }
-    return _instance("power", 1, f1, _constant(0.5),
-                     noise or ("gaussian", GAUSSIAN_SIGMA_DEFAULT), meta)
+    if noise is None:
+        noise = ("gaussian", GAUSSIAN_SIGMA_DEFAULT)
+    return _instance("power", 1, f1, _constant(0.5), check_noise(noise), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +416,8 @@ def make_instance(spec: dict, T: int) -> ProblemInstance:
     elif kind == "setting2":
         inst = make_setting_two(beta, T, overrides=spec.pop("overrides", None))
     elif kind == "power":
-        noise = spec.pop("noise", None)
-        if noise is not None:
-            noise = tuple(noise)
-        inst = make_power_payoff(beta, float(spec.pop("delta", 1.0)), noise=noise)
+        inst = make_power_payoff(beta, float(spec.pop("delta", 1.0)),
+                                 noise=spec.pop("noise", None))
     elif kind == "lower_bound":
         family = make_lower_bound_family(
             beta,

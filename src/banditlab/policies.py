@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .abse import AbseConfig, AbsePolicy
+from .sacb import SacbConfig, SacbPolicy
 
 
 class FixedArmPolicy:
@@ -67,10 +70,9 @@ class PolicySpec:
         """Construct a live policy for one episode.
 
         Under Gaussian noise the instance's sigma is the default noise_scale.
+        instance None stands for an instance that cannot be built: d = 1,
+        and the config classes' own noise_scale.
         """
-        from .abse import AbseConfig, AbsePolicy
-        from .sacb import SacbConfig, SacbPolicy
-
         p = dict(self.params)
         if self.kind in ("fixed", "oracle"):
             policy = (FixedArmPolicy(p.pop("arm", 1)) if self.kind == "fixed"
@@ -78,10 +80,18 @@ class PolicySpec:
             if p:
                 raise ValueError(f"unknown {self.kind} keys {sorted(p)}")
             return policy
-        if instance.noise[0] == "gaussian":
-            p.setdefault("noise_scale", instance.noise[1])
+        d, noise = (1, None) if instance is None else (instance.d, instance.noise)
+        if noise and noise[0] == "gaussian":
+            p.setdefault("noise_scale", noise[1])
         if self.kind == "abse":
-            return AbsePolicy(AbseConfig(T=int(T), d=instance.d, **p))
+            return AbsePolicy(AbseConfig(T=int(T), d=d, **p))
         if self.kind == "sacb":
-            return SacbPolicy(SacbConfig(**p), T=int(T), d=instance.d)
+            return SacbPolicy(SacbConfig(**p), T=int(T), d=d)
         raise ValueError(f"unknown policy kind {self.kind!r}")
+
+
+def tuning_defaults(kind: str) -> dict:
+    """An abse or sacb spec's published tuning, less the fields runs set."""
+    config = AbseConfig if kind == "abse" else SacbConfig
+    return {f.name: f.default for f in fields(config)
+            if f.name not in ("beta", "T", "d", "noise_scale")}

@@ -103,10 +103,7 @@ class SacbPolicy:
                                   config.beta_hi, config.upsilon)
         self.partition = build_partition(d, config.q, self.levels.l)
         self.degree = floor_strict(config.beta_hi)
-        self.mesh = {
-            bin_id: mesh_points(bin_id, self.partition, config.q, self.levels.l_tilde)
-            for bin_id in self.partition.bin_ids()
-        }
+        self.mesh = {}           # a bin's mesh points, made when it is first tested
         self.state = {bin_id: _BinState() for bin_id in self.partition.bin_ids()}
         self.t = 0
         self.t_sacb = None
@@ -167,6 +164,9 @@ class SacbPolicy:
         thr = test_threshold(cfg.gamma, self.T, self.d, cfg.beta_lo, cfg.q, r)
         h1 = cfg.q ** (-self.levels.j1)
         h2 = cfg.q ** (-self.levels.j2)
+        for bin_id in set(bin_ids) - self.mesh.keys():
+            self.mesh[bin_id] = mesh_points(bin_id, self.partition, cfg.q,
+                                            self.levels.l_tilde)
         # Dataset 2 i + a is arm a of bin i; its centers are the bin's mesh,
         # first all coarse, then all fine.
         meshes = [self.mesh[bin_id] for bin_id in bin_ids for _ in (0, 1)]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .instances import ProblemInstance, make_instance
+from .instances import ProblemInstance, check_noise, make_instance
 from .policies import PolicySpec
 from . import fast
 
@@ -65,16 +65,12 @@ class Rewards:
     """
 
     def __init__(self, F: np.ndarray, u: np.ndarray, noise: tuple):
-        if noise[0] == "bernoulli":
+        if check_noise(noise)[0] == "bernoulli":
             lo, hi = float(np.min(F)), float(np.max(F))
             if lo < -1e-12 or hi > 1.0 + 1e-12:
                 raise ValueError(
                     f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
-            self.sigma = None
-        elif noise[0] == "gaussian":
-            self.sigma = noise[1]
-        else:
-            raise ValueError(f"unknown noise model {noise!r}")
+        self.sigma = noise[1] if noise[0] == "gaussian" else None
         # Per arm: its uniforms (then rewards), done mask and payoffs.
         self._arms = tuple(zip(u, np.zeros(u.shape, dtype=bool), F.T))
 

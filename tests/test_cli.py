@@ -21,9 +21,12 @@ from banditlab.cli import (
     _read_results,
     run,
 )
+from banditlab.abse import AbseConfig
 from banditlab.errors import ValidationError
 from banditlab.instances import make_instance
+from banditlab.partition import cells_per_axis, sacb_levels
 from banditlab.policies import PolicySpec
+from banditlab.sacb import SacbConfig
 
 
 MINIMAL = {
@@ -92,6 +95,35 @@ class TestParse:
         with pytest.raises(ValidationError) as err:
             parse_config(dict(MINIMAL, policies=[{"kind": kind, **params}]))
         assert err.value.problems == [f"policies[0]: {lib.value}"]
+
+
+    # A problem of several groups is listed once, and a policy is still
+    # built, with instance None, where its group's instance is a config
+    # error.
+    def test_each_problem_is_listed_once(self):
+        bad = dict(MINIMAL, sweep={"T": [20_000, 30_000]},
+                   instance={"kind": "setting1", "beta": 1.5},
+                   policies=[{"kind": "sacb", "gama": 9.0},
+                             {"kind": "abse", "beta": 0.9, "c0": -1}])
+        with pytest.raises(ValidationError) as err:
+            parse_config(bad)
+        assert sorted(err.value.problems) == [
+            r"instance: beta must be in (0, 1], got 1.5",
+            "policies[0]: SacbConfig.__init__() got an unexpected keyword "
+            "argument 'gama'",
+            "policies[1]: c0, gamma_abse and noise_scale must be positive"]
+
+    # Without an instance a spec builds at d = 1 with the config classes'
+    # own noise_scale, where an instance with Gaussian noise gives sigma.
+    def test_spec_without_instance(self):
+        T = 20_000
+        abse = PolicySpec("abse", {"beta": 0.5})
+        sacb = PolicySpec("sacb", {})
+        assert abse.build(None, T).config == AbseConfig(beta=0.5, T=T)
+        assert sacb.build(None, T).config == SacbConfig()
+        assert sacb.build(None, T).d == 1
+        inst = make_instance({"kind": "power", "beta": 0.6}, T)
+        assert abse.build(inst, T).config.noise_scale == inst.noise[1] == 0.05
 
 
 def small_config(tmp_path, **over):
@@ -247,8 +279,12 @@ class TestRun:
     # as a TypeError traceback or a ValueError "runtime failure" (exit 3).
     # A null output_dir wrote the run into a directory named None, and a
     # tilde_beta of "a" ran when only named abse policies read it, then
-    # failed the sweep figure (exit 3).  Nothing is written anywhere: the
-    # run starts in tmp_path, which holds only the config.
+    # failed the sweep figure (exit 3).  A power instance's noise of
+    # ["gaussian"] escaped as an IndexError traceback, and ["cauchy", 1],
+    # "gaussian" and a sigma of -0.1 or 0 failed mid-run (exit 3,
+    # header-only results.csv); so did a setting's sigma override of 0.  A
+    # beta that is not a number stays a config error.  Nothing is written
+    # anywhere: the run starts in tmp_path, which holds only the config.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
          "horizon must be >= 2"),
@@ -293,6 +329,19 @@ class TestRun:
          r"sweep.tilde_beta: beta must be in \(0, 1\], got 'a'"),
         ({"sweep": {"tilde_beta": [0.5, True]}},
          r"sweep.tilde_beta: beta must be in \(0, 1\], got True"),
+        *[({"instance": {"kind": "power", "beta": 0.6, "noise": noise},
+            "policies": [{"kind": "abse", "beta": 0.6}]},
+           r"instance: unknown noise model .*: use \['gaussian', sigma\] "
+           r"with sigma > 0 finite, or \['bernoulli'\]")
+          for noise in (["gaussian"], ["cauchy", 1], "gaussian",
+                        ["gaussian", -0.1], ["gaussian", 0.0])],
+        ({"instance": {"kind": "setting1", "beta": 0.9,
+                       "overrides": {"M": 8.0, "sigma": 0}}},
+         r"instance: unknown noise model \('gaussian', 0\)"),
+        ({"sweep": {"beta": ["a"]}},
+         "instance: could not convert string to float: 'a'"),
+        ({"instance": {"kind": "setting1", "beta": "a"}},
+         "instance: could not convert string to float: 'a'"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
@@ -301,7 +350,10 @@ class TestRun:
             "traces-string", "threads-zero", "threads-negative", "reps-bool",
             "threads-bool", "instance-list", "instance-string", "sweep-list",
             "policy-number", "policies-object", "output-dir-null",
-            "output-dir-number", "tilde-beta-string", "tilde-beta-bool"])
+            "output-dir-number", "tilde-beta-string", "tilde-beta-bool",
+            "noise-no-sigma", "noise-cauchy", "noise-string",
+            "noise-negative-sigma", "noise-zero-sigma", "setting-zero-sigma",
+            "sweep-beta-string", "instance-beta-string"])
     def test_horizon_and_integer_errors_exit_2_before_writing(
             self, tmp_path, monkeypatch, over, match):
         p = small_config(tmp_path, **over)
@@ -489,6 +541,55 @@ class TestSweepAndPlot:
         assert "d=2" in out
         assert "l=14" in out and "r_bar=38" in out and "j2=85" in out
         assert "l_tilde=106" in out and "bins_per_axis=4" in out
+
+    # levels prints one block per group, (T, beta), and per distinct SACB
+    # spec, from the policy each group's episodes build.
+    def test_levels_prints_each_group_and_sacb_spec(self, tmp_path, capsys):
+        tuned = {"gamma": 0.3, "q": 1.4, "upsilon": 1.5, "beta_lo": 0.5,
+                 "beta_hi": 1.0}
+        p = small_config(tmp_path, sweep={"T": [20_000, 200_000],
+                                          "beta": [0.5, 0.9]},
+                         policies=[{"kind": "sacb", **tuned}, {"kind": "sacb"},
+                                   {"kind": "abse", "beta": 0.9}])
+        assert main(["levels", "--config", str(p)]) == 0
+        expected = []
+        for T in (20_000, 200_000):
+            for beta in (0.5, 0.9):
+                for c in (SacbConfig(**tuned), SacbConfig()):
+                    lv = sacb_levels(T, 1, c.q, c.beta_lo, c.beta_hi, c.upsilon)
+                    expected += [
+                        f"T={T} beta={beta} d=1: sacb q={c.q} beta_lo={c.beta_lo} "
+                        f"beta_hi={c.beta_hi} upsilon={c.upsilon}",
+                        f"l={lv.l} r_bar={lv.r_bar} j1={lv.j1} j2={lv.j2} "
+                        f"l_tilde={lv.l_tilde}",
+                        f"bins_per_axis={cells_per_axis(c.q, lv.l)}"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    # levels used to print a default SACB policy's levels for a config
+    # that runs none.
+    def test_levels_without_sacb(self, tmp_path, capsys):
+        p = small_config(tmp_path, policies=[{"kind": "abse", "beta": 0.9}])
+        assert main(["levels", "--config", str(p)]) == 0
+        assert capsys.readouterr().out == "no sacb policy in the config\n"
+
+    # verify and levels built the instance at the top-level T, which no
+    # cell runs: this config exited 3 (no setting1 construction at T = 500).
+    @pytest.mark.parametrize("command", ["verify", "levels"])
+    def test_subcommands_use_the_swept_horizons(self, tmp_path, capsys, command):
+        p = small_config(tmp_path, T=500, sweep={"T": [200_000]},
+                         instance={"kind": "setting1", "beta": 0.9})
+        assert main([command, "--config", str(p)]) == 0
+        assert "T=200000" in capsys.readouterr().out
+
+    # verify used to grade the first beta's instance alone.
+    def test_verify_grades_every_beta(self, tmp_path, capsys):
+        p = small_config(tmp_path, sweep={"beta": [0.5, 0.9]})
+        assert main(["verify", "--config", str(p)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split(" d=")[0] for ln in out if ln.startswith("instance")] == [
+            "instance setting1 T=20000 beta=0.5", "instance setting1 T=20000 beta=0.9"]
+        assert [ln.split(":")[0] for ln in out if not ln.startswith("instance")] == [
+            "holder", "margin"] * 2
 
     def test_verify_subcommand(self, tmp_path, capsys):
         p = small_config(tmp_path, T=100_000,

@@ -5,7 +5,7 @@ import pytest
 
 from banditlab.errors import StateDesyncError
 from banditlab.instances import make_power_payoff
-from banditlab.partition import log_base
+from banditlab.partition import log_base, mesh_points
 from banditlab.sacb import SacbConfig, SacbPolicy, round_samples
 from banditlab.sacb import test_threshold as threshold_at
 
@@ -42,6 +42,20 @@ class TestInit:
             assert st.counts == [0, 0]
             assert st.r_last is None
         assert pol.degree == 0  # floor_strict(1.0)
+
+    # A bin's mesh is made when the bin is first tested, so building a
+    # policy stays cheap.  Made eagerly, the meshes of the default tuning
+    # at d = 2 and T = 2e6 (l_tilde = 106: 24,413 points per axis, 16 bins)
+    # would hold about 6e8 points, some 9.5 GB.
+    def test_mesh_made_when_its_bin_is_first_tested(self):
+        pol = small_policy(q=1.1, beta_lo=0.4, T=2_000_000)
+        x = [0.1]
+        pol.update(x, pol.choose(x), 0.4)
+        assert pol.mesh == {}
+        pol.update(x, pol.choose(x), 0.6)          # round 1 of bin (0,) ends
+        assert list(pol.mesh) == [(0,)]
+        assert np.array_equal(pol.mesh[(0,)], mesh_points(
+            (0,), pol.partition, 1.1, pol.levels.l_tilde))
 
     def test_rounds_per_bin_identical(self):
         pol = small_policy()
