@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError, StateDesyncError
-from .partition import cell_coords
+from .errors import StateDesyncError
+from .partition import Partition, locate_bin
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class AbsePolicy:
     def __init__(self, config: AbseConfig):
         self.config = config
         self.k0 = max_depth(config)
+        self.grid = Partition(config.d, 2 ** self.k0)      # the depth-k0 cells
         root = _Bin(0, (0,) * config.d, lifetime(config, 0))
         self.bins = {(0, root.coords): root}
         self.n_splits = 0
@@ -110,12 +111,9 @@ class AbsePolicy:
     # -- bin lookup --------------------------------------------------------
 
     def _find(self, x) -> _Bin:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.config.d,) or np.any(x < 0) or np.any(x > 1):
-            raise OutOfDomainError(f"covariate {x} outside [0,1]^d")
         # The cell at depth k0 gives the cell at every shallower depth by a
         # shift: floor(x 2^k) = floor(x 2^k0) >> (k0 - k).
-        deepest = cell_coords(x, 1 << self.k0).tolist()
+        deepest = locate_bin(self.grid, x)
         for depth in range(self.k0 + 1):
             key = (depth, tuple(c >> (self.k0 - depth) for c in deepest))
             if key in self.bins:

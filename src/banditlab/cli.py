@@ -21,6 +21,7 @@ completed cells).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -38,7 +39,7 @@ from .errors import BanditLabError, ValidationError
 from .instances import (check_holder, check_margin, check_self_similarity,
                         make_instance)
 from .policies import PolicySpec, tuning_defaults
-from .sim import dedup_labels, run_experiment
+from .sim import run_experiment
 
 RESULTS_HEADER = ("config_hash,instance,beta,tilde_beta,policy,T,reps,"
                   "mean_regret,sd,ci95,mean_t_sacb,mean_beta_hat,relative_loss")
@@ -167,8 +168,14 @@ def parse_config(path_or_dict) -> dict:
         if pkind not in POLICY_KINDS:
             problems.append(f"policies[{i}].kind must be one of {POLICY_KINDS}")
             continue
-        planned.append((i, {**tuning_defaults(pkind), **pol}
-                            if pkind in ("sacb", "abse") else dict(pol)))
+        if pkind in ("sacb", "abse"):
+            # Their numbers are floats: "beta": 1 is the spec abse(1.0), as
+            # an anonymous abse at tilde_beta 1 is.  An integer too large
+            # for a float stays as given.
+            pol = {**tuning_defaults(pkind), **{
+                k: float(v) if type(v) is int and abs(v) <= sys.float_info.max
+                else v for k, v in pol.items()}}
+        planned.append((i, dict(pol)))
     cfg["policies"] = [pol for _, pol in planned]
 
     cfg["reps"] = _integer(raw.get("reps", 1), "reps", problems, low=1)
@@ -226,36 +233,33 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _cells(cfg: dict):
-    """Cross product of sweep values; each cell fixes (T, tilde_beta, beta)."""
-    sweep = cfg["sweep"]
-    t_vals = sweep.get("T", [cfg["T"]])
-    tb_vals = sweep.get("tilde_beta") or [None]
-    beta_vals = sweep.get("beta") or [cfg["instance"]["beta"]]
-    for T, tb, beta in itertools.product(t_vals, tb_vals, beta_vals):
-        yield {"T": int(T), "tilde_beta": tb, "beta": float(beta)}
-
-
-def _cell_policies(cfg: dict, cell: dict):
-    specs = []
-    for pol in cfg["policies"]:
-        pol = dict(pol)
-        pkind = pol.pop("kind")
-        if pkind == "abse" and "beta" not in pol:
-            pol["beta"] = float(cell["tilde_beta"])
-        specs.append(PolicySpec(pkind, pol))
-    return specs, dedup_labels(specs)
-
-
 def plan(cfg: dict):
     """The run plan: cells, a list of (cell, spec keys, labels) with one key
     and label per config policy, and groups, which maps each instance,
     (T, beta), to the distinct specs of its cells by key (kind and sorted
-    params, not label)."""
+    params, not label).
+
+    The cells are the cross product of the sweep values, each fixing
+    (T, tilde_beta, beta); an abse without beta takes the cell's
+    tilde_beta.  A cell labels its policies by spec, and where two labels
+    are equal every label gets its #index suffix.
+    """
+    sweep = cfg["sweep"]
     cells, groups = [], {}
-    for cell in _cells(cfg):
-        specs, labels = _cell_policies(cfg, cell)
+    for T, tb, beta in itertools.product(
+            sweep.get("T", [cfg["T"]]), sweep.get("tilde_beta") or [None],
+            sweep.get("beta") or [cfg["instance"]["beta"]]):
+        cell = {"T": int(T), "tilde_beta": tb, "beta": float(beta)}
+        specs = []
+        for pol in cfg["policies"]:
+            params = {k: v for k, v in pol.items() if k != "kind"}
+            if pol["kind"] == "abse" and "beta" not in params:
+                params["beta"] = float(tb)
+            specs.append(PolicySpec(pol["kind"], params))
         keys = [(ps.kind, repr(sorted(ps.params.items()))) for ps in specs]
+        labels = [ps.label() for ps in specs]
+        if len(set(labels)) != len(labels):
+            labels = [f"{label}#{i}" for i, label in enumerate(labels)]
         groups.setdefault((cell["T"], cell["beta"]), {}).update(zip(keys, specs))
         cells.append((cell, keys, labels))
     return cells, groups
@@ -278,7 +282,7 @@ def run(cfg: dict, out_dir: Path) -> list[dict]:
                 cfg["reps"], cfg["base_seed"], parallelism=cfg["threads"],
                 checkpoint_stride=cfg["checkpoint_stride"],
             )
-            finished[T, beta] = dict(zip(distinct, summaries.values()))
+            finished[T, beta] = dict(zip(distinct, summaries))
     finally:
         rows, manifest = [], []
         for cell_idx, (cell, keys, labels) in enumerate(cells):
@@ -286,7 +290,7 @@ def run(cfg: dict, out_dir: Path) -> list[dict]:
             if group is None:
                 continue
             summaries = {label: group[key] for key, label in zip(keys, labels)}
-            ref = summaries.get(f"abse({cell['beta']})")
+            ref = summaries.get(PolicySpec("abse", {"beta": cell["beta"]}).label())
             for label, s in summaries.items():
                 rel = ((s.mean_regret - ref.mean_regret) / ref.mean_regret
                        if ref is not None and ref.mean_regret != 0 else None)
@@ -504,7 +508,7 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path) -> list[Pa
 
 
 def _cmd_run(cfg: dict, out_dir: Path, figures: list[str]) -> int:
-    cells = list(_cells(cfg))
+    cells = [cell for cell, _, _ in plan(cfg)[0]]
     if "sweep" in figures:
         sweep_axis(cells)
     if "table" in figures:
@@ -591,7 +595,8 @@ def main(argv=None) -> int:
         for p in e.problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    except (BanditLabError, OSError, ValueError) as e:
+    except (BanditLabError, OSError, ValueError,
+            concurrent.futures.BrokenExecutor) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 3
     return 0

@@ -118,12 +118,8 @@ def _norms(points, d):
 
 
 def psi_tilde(x, kappa: float, d: int = 1):
-    """Inner bump |1 - ||x||_inf|^kappa on ||x||_inf <= 1, zero outside."""
-    n = _norms(x, d)
-    out = np.zeros_like(n)
-    inside = n <= 1.0
-    out[inside] = np.abs(1.0 - n[inside]) ** kappa
-    return out
+    """Inner bump (1 - ||x||_inf)^kappa on ||x||_inf <= 1, zero outside."""
+    return bump(_norms(x, d), kappa)
 
 
 def psi_hat(x, kappa: float, d: int = 1):
@@ -133,7 +129,7 @@ def psi_hat(x, kappa: float, d: int = 1):
     mid = (n > 1.0) & (n <= 2.0)
     core = n <= 1.0
     out[mid] = -np.abs(n[mid] - 1.0) ** kappa
-    out[core] = np.abs(1.0 - n[core]) ** kappa
+    out[core] = bump(n[core], kappa)
     return out
 
 

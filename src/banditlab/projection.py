@@ -14,7 +14,10 @@ basis u = (v - x)/h, with the integrals over x + h u in U
 
 Both integrals are evaluated by a tensor-product midpoint rule over U; the
 node count per axis is part of the call signature so results are exactly
-reproducible from the configuration.
+reproducible from the configuration.  The nodes carry equal weights, which
+cancel from xi, so the rule's xi is the local polynomial fit
+(`locpoly.fit_local_polynomial`) of the f values at the nodes, in u, at
+u = 0 with bandwidth 1.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, InsufficientGridError
-from .locpoly import SINGULARITY_TOL, enumerate_multi_indices
+from .locpoly import enumerate_multi_indices, fit_local_polynomial
 
 DEFAULT_NODES_PER_AXIS = 256
 
@@ -84,31 +87,6 @@ def eval_points(f, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _solve_projection(powers, fw, cell_vol, x, h, nodes):
-    u = (nodes - x) / h
-    inside = np.max(np.abs(u), axis=1) <= 1.0
-    if not np.any(inside):
-        raise IllConditionedError(
-            f"kernel window around {x} contains no quadrature mass"
-        )
-    uu = u[inside]
-    m = len(powers)
-    mono = np.empty((len(uu), m))
-    for j, s in enumerate(powers):
-        mono[:, j] = np.prod(uu ** np.asarray(s, dtype=float), axis=1)
-    weighted = mono * cell_vol
-    B = weighted.T @ mono
-    W = weighted.T @ fw[inside]
-    scale = np.max(np.abs(B))
-    if scale == 0.0 or np.linalg.eigvalsh(B)[0] <= SINGULARITY_TOL * scale:
-        raise IllConditionedError(
-            "projection normal matrix lost positive definiteness; "
-            "bandwidth/bin pairing is mis-sized"
-        )
-    xi = np.linalg.solve(B, W)
-    return float(xi[0])
-
-
 def project_to_polynomial(f, bin_box: Box, degree: int, bandwidth: float,
                           nodes_per_axis: int = DEFAULT_NODES_PER_AXIS):
     """Pointwise evaluator for the degree-p projection of f over a hypercube.
@@ -129,13 +107,17 @@ def project_to_polynomial(f, bin_box: Box, degree: int, bandwidth: float,
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    powers = enumerate_multi_indices(bin_box.d, degree)
-    nodes, cell_vol = bin_box.midpoint_nodes(nodes_per_axis)
+    nodes, _ = bin_box.midpoint_nodes(nodes_per_axis)
     fv = eval_points(f, nodes)
 
     def g(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return _solve_projection(powers, fv, cell_vol, x_arr, bandwidth, nodes)
+        u = (nodes - np.atleast_1d(np.asarray(x, dtype=float))) / bandwidth
+        fit = fit_local_polynomial((u, fv), np.zeros(bin_box.d), 1.0, degree)
+        if fit.degenerate:
+            raise IllConditionedError(
+                f"projection normal matrix around {x} is singular; "
+                "bandwidth/bin pairing is mis-sized")
+        return fit.value
 
     g.quadrature_nodes = nodes_per_axis
     return g

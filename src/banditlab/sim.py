@@ -203,33 +203,24 @@ def _replication_cell(args):
                         rep=rep, streams=streams) for ps in policy_specs]
 
 
-def dedup_labels(policy_specs) -> list:
-    """Stable labels for a policy list; duplicates get #index suffixes."""
-    labels = [ps.label() for ps in policy_specs]
-    if len(set(labels)) != len(labels):
-        labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
-    return labels
-
-
 def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
                    base_seed: int, parallelism: int = 1,
-                   checkpoint_stride: int | None = None) -> dict:
+                   checkpoint_stride: int | None = None) -> list:
     """Replicated, paired comparison of several policies on one instance.
 
     instance_spec is a dict understood by `instances.make_instance`; each
     task, in this process or a worker, builds the instance from it.
     Replication r of every policy consumes the same covariate and noise
     streams (keyed by (base_seed, r)), so cross-policy comparisons are
-    paired.  Results are keyed by policy label, in the order of
-    policy_specs, and deterministic in content regardless of parallelism,
-    the most worker processes to use.
+    paired.  Returns one ExperimentSummary per spec, in the order of
+    policy_specs, deterministic in content regardless of parallelism, the
+    most worker processes to use.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     specs = list(policy_specs)
     if not specs:
         raise ValueError("run_experiment needs at least one policy spec")
-    labels = dedup_labels(specs)
 
     # A task runs a group of policies on one replication and draws its
     # streams once.  Each replication is split into just enough groups to
@@ -249,5 +240,4 @@ def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
 
     per_rep = [sum(results[r * groups:(r + 1) * groups], [])
                for r in range(reps)]
-    return {label: summarize([traces[i] for traces in per_rep])
-            for i, label in enumerate(labels)}
+    return [summarize(traces) for traces in zip(*per_rep)]

@@ -126,7 +126,7 @@ def test_criterion_4_smoothness_estimator():
     res = run_experiment({"kind": "power", "beta": 0.6, "delta": 1.0},
                          [spec], T, reps=50, base_seed=777,
                          parallelism=WORKERS)
-    traces = next(iter(res.values())).traces
+    traces = res[0].traces
     beta_hats = np.array([tr.beta_hat for tr in traces], dtype=float)
     t_sacbs = np.array([tr.t_sacb for tr in traces], dtype=float)
     frac_below = float(np.mean(beta_hats <= 0.6 + 1e-12))

@@ -1,4 +1,6 @@
 import json
+import math
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -14,10 +16,10 @@ from banditlab.cli import (
     RESULTS_HEADER,
     config_hash,
     emit_plot_data,
+    fmt,
     main,
     parse_config,
-    _cell_policies,
-    _cells,
+    plan,
     _read_results,
     run,
 )
@@ -77,7 +79,9 @@ class TestParse:
         inst = make_instance(spec, T)
         cfg = parse_config(dict(MINIMAL, T=T, instance=spec, policies=[
             {"kind": "sacb"}, {"kind": "abse", "beta": 0.5}]))
-        cli_specs, _ = _cell_policies(cfg, next(_cells(cfg)))
+        cells, groups = plan(cfg)
+        cell, keys, _ = cells[0]
+        cli_specs = [groups[cell["T"], cell["beta"]][key] for key in keys]
         lib_specs = [PolicySpec("sacb", {}), PolicySpec("abse", {"beta": 0.5})]
         for lib, cli in zip(lib_specs, cli_specs, strict=True):
             assert lib.build(inst, T).config == cli.build(inst, T).config
@@ -147,6 +151,21 @@ def small_config(tmp_path, **over):
     return p
 
 
+def _worker_dies(args):
+    """A replication task whose worker process exits at once."""
+    os._exit(1)
+
+
+@pytest.mark.parametrize("x,out", [
+    (None, ""), (0.0, "0"), (-0.0, "0"), (1234567.0, "1234570"),
+    (0.000123456789, "0.000123457"), (-2.5e-7, "-0.00000025"), (5, "5"),
+    (math.inf, "inf"), (math.nan, "nan"),
+], ids=["none", "zero", "negative-zero", "large", "small", "negative-small",
+        "int", "inf", "nan"])
+def test_fmt_writes_six_significant_digits_in_fixed_point(x, out):
+    assert fmt(x) == out
+
+
 class TestRun:
     def test_end_to_end_and_header(self, tmp_path):
         p = small_config(tmp_path)
@@ -188,6 +207,18 @@ class TestRun:
         body = files[0].read_text().splitlines()
         assert body[0].startswith("# banditlab")
         assert body[1] == "t,cum_regret,inferior_count"
+
+    # A dead worker escaped from main as a BrokenProcessPool traceback.
+    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                        reason="the patched task reaches the workers by fork")
+    def test_dead_worker_exits_3_after_writing(self, tmp_path, monkeypatch,
+                                               capsys):
+        p = small_config(tmp_path, T=5_000, threads=2, reps=2)
+        monkeypatch.setattr(sim, "_replication_cell", _worker_dies)
+        assert main(["run", "--config", str(p)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+        out = Path(json.loads(p.read_text())["output_dir"])
+        assert (out / "results.csv").exists() and (out / "manifest.json").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -366,11 +397,12 @@ class TestRun:
 
 class TestPlan:
     def test_each_distinct_episode_runs_once(self, tmp_path, monkeypatch):
-        # In the tilde_beta = 0.9 cell the anonymous abse is the named
-        # abse(0.9): two cells of two policies at two reps are 4 distinct
-        # episodes, where a run per cell makes 8.
-        p = small_config(tmp_path, T=5_000, sweep={"tilde_beta": [0.5, 0.9]},
-                         policies=[{"kind": "abse"}, {"kind": "abse", "beta": 0.9}])
+        # In the tilde_beta = beta cell the anonymous abse is the named
+        # abse(beta): two cells of two policies at two reps are 4 distinct
+        # episodes, where a run per cell makes 8.  The named abse is every
+        # cell's reference.  An integer beta is its float: "beta": 1 split
+        # abse(1.0) into a second spec, abse(1), that no cell took as its
+        # reference.
         experiments, episodes = [], []
         run_experiment, run_episode = cli.run_experiment, sim.run_episode
 
@@ -385,9 +417,23 @@ class TestPlan:
 
         monkeypatch.setattr(cli, "run_experiment", count_experiment)
         monkeypatch.setattr(sim, "run_episode", count_episode)
-        assert main(["run", "--config", str(p)]) == 0
-        assert len(experiments) == 1
-        assert len(episodes) == 4 and len(set(episodes)) == 4
+        for beta, named in ((0.9, 0.9), (1.0, 1)):
+            experiments.clear()
+            episodes.clear()
+            out = tmp_path / f"beta{beta}"
+            p = small_config(
+                tmp_path, T=5_000, output_dir=str(out),
+                instance={"kind": "setting1", "beta": beta,
+                          "overrides": {"M": 8.0}},
+                sweep={"tilde_beta": [0.5, named]},
+                policies=[{"kind": "abse"}, {"kind": "abse", "beta": named}])
+            assert main(["run", "--config", str(p)]) == 0
+            assert len(experiments) == 1
+            assert len(episodes) == 4 and len(set(episodes)) == 4
+            rows = _read_results(out / "results.csv")
+            assert [(r["policy"], r["relative_loss"] != "") for r in rows[:2]] == [
+                ("abse(0.5)", True), (f"abse({beta})", True)]
+            assert float(rows[1]["relative_loss"]) == 0.0
 
     def test_cells_match_their_own_experiments(self, tmp_path):
         inst = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
@@ -401,12 +447,12 @@ class TestPlan:
         ).read_text()))
         rows = run(cfg, tmp_path / "plan")
         expected = []
-        for cell in _cells(cfg):
-            specs, labels = _cell_policies(cfg, cell)
+        cells, groups = plan(cfg)
+        for cell, keys, labels in cells:
+            specs = [groups[cell["T"], cell["beta"]][key] for key in keys]
             alone = sim.run_experiment(dict(inst, beta=cell["beta"]), specs,
                                        cell["T"], cfg["reps"], cfg["base_seed"])
-            for label in labels:
-                s = alone[label]
+            for label, s in zip(labels, alone, strict=True):
                 expected.append((cell["T"], cell["beta"], cell["tilde_beta"],
                                  label, s.mean_regret, s.sd, s.ci95,
                                  s.mean_t_sacb, s.mean_beta_hat))

@@ -196,7 +196,7 @@ class TestExperiment:
             [PolicySpec("abse", {"beta": 0.7}),
              PolicySpec("abse", {"beta": 0.7})],
             20_000, reps=3, base_seed=11)
-        a, b = list(res.values())
+        a, b = res
         assert a.mean_regret == b.mean_regret
         assert [t.final_regret for t in a.traces] == \
                [t.final_regret for t in b.traces]
@@ -212,9 +212,8 @@ class TestExperiment:
         forward = run_experiment(spec, policies, 30_000, reps=2, base_seed=14)
         reverse = run_experiment(spec, policies[::-1], 30_000, reps=2,
                                  base_seed=14)
-        assert list(reverse) == list(forward)[::-1]
-        for label, summary in forward.items():
-            assert reverse[label].traces == summary.traces
+        for summary, again in zip(forward, reverse[::-1], strict=True):
+            assert again.traces == summary.traces
 
     def test_parallel_equals_serial(self):
         spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
@@ -223,8 +222,8 @@ class TestExperiment:
                                 parallelism=1)
         par = run_experiment(spec, policies, 15_000, reps=4, base_seed=12,
                              parallelism=4)
-        for k in serial:
-            assert serial[k].mean_regret == par[k].mean_regret
+        for s, p in zip(serial, par, strict=True):
+            assert s.mean_regret == p.mean_regret
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_rejects_an_empty_policy_list(self, parallelism):
@@ -244,7 +243,7 @@ class TestExperiment:
         res = run_experiment(spec, policies, 15_000, reps=reps, base_seed=12,
                              parallelism=parallelism)
         inst = make_instance(spec, 15_000)
-        for ps, s in zip(policies, res.values()):
+        for ps, s in zip(policies, res, strict=True):
             alone = [run_episode(inst, ps, 15_000, 12, rep=r) for r in range(reps)]
             assert s.traces == tuple(alone)
 
@@ -273,8 +272,7 @@ class TestExperiment:
                              parallelism=parallelism)
         assert sizes == pools
         serial = run_experiment(spec, policies, 2_000, reps=reps, base_seed=12)
-        assert [s.traces for s in res.values()] == \
-               [s.traces for s in serial.values()]
+        assert [s.traces for s in res] == [s.traces for s in serial]
 
     def test_serial_run_draws_each_replication_once(self):
         spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
@@ -290,7 +288,7 @@ class TestExperiment:
             [PolicySpec("sacb", {"gamma": 0.5, "q": 1.5, "upsilon": 2.5,
                                  "beta_lo": 0.6, "beta_hi": 1.0})],
             60_000, reps=2, base_seed=13)
-        s = next(iter(res.values()))
+        s, = res
         assert s.mean_t_sacb is not None and s.mean_t_sacb > 0
         assert 0.6 <= s.mean_beta_hat <= 1.0
 
