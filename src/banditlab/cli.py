@@ -150,7 +150,7 @@ def parse_config(path_or_dict) -> dict:
                  or ([inst["beta"]] if "beta" in inst else [])):
         try:
             betas.append(float(beta))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             problems.append(f"instance: {e}")
 
     policies = raw.get("policies") or []
@@ -170,11 +170,16 @@ def parse_config(path_or_dict) -> dict:
             continue
         if pkind in ("sacb", "abse"):
             # Their numbers are floats: "beta": 1 is the spec abse(1.0), as
-            # an anonymous abse at tilde_beta 1 is.  An integer too large
-            # for a float stays as given.
-            pol = {**tuning_defaults(pkind), **{
-                k: float(v) if type(v) is int and abs(v) <= sys.float_info.max
-                else v for k, v in pol.items()}}
+            # an anonymous abse at tilde_beta 1 is.
+            pol = {**tuning_defaults(pkind), **pol}
+            try:
+                for key, value in pol.items():
+                    if type(value) is int:
+                        pol[key] = float(value)
+            except OverflowError:
+                problems.append(f"policies[{i}]: {key} is an integer too large "
+                                "for a float")
+                continue
         planned.append((i, dict(pol)))
     cfg["policies"] = [pol for _, pol in planned]
 
@@ -215,12 +220,12 @@ def parse_config(path_or_dict) -> dict:
                 instance = make_instance({**inst, "beta": beta}, T)
             except KeyError as e:
                 problems.append(f"instance: {kind} needs {e}")
-            except (TypeError, ValueError, BanditLabError) as e:
+            except (TypeError, ValueError, OverflowError, BanditLabError) as e:
                 problems.append(f"instance: {e}")
         for key, spec in specs.items():
             try:
                 spec.build(instance, T)
-            except (TypeError, ValueError, BanditLabError) as e:
+            except (TypeError, ValueError, OverflowError, BanditLabError) as e:
                 problems.append(f"policies[{index[key]}]: {e}")
 
     if problems:                         # a problem of several groups once

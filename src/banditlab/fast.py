@@ -20,9 +20,10 @@ to t: 4 bytes an arrival while d k0 + bits <= 32, against the 8 of an
 argsort's intp index and its sort buffer.  A node tests only the
 arrivals its elimination test uses, the first 2 * lifetime of its cell
 from its start time on, and its children start after the last of them;
-so each arrival is tested by at most one node.  Arrivals past an
-elimination or a commit are written by one scatter at the end.  The cost
-is one sort of n packed keys plus the tested arrivals (and, for a node of
+so each arrival is tested by at most one node.  A node that eliminates
+or commits writes its arm where its leaf block holds no tested arrival,
+and one scatter at the end puts each arm at its time.  The cost is one
+sort of n packed keys plus the tested arrivals (and, for a node of
 several runs, the at most 2 * lifetime candidates per run it merges them
 from), and the per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
 
@@ -129,14 +130,16 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
     first 2 * lifetime arrivals are among the first 2 * lifetime of each
     run; merged by time, they feed the node's own cumsum, as AbsePolicy's
     reward sums do.  The node then ends in an elimination or a commit,
-    whose arm is recorded for the rest of its runs, or passes each child
-    its block of run heads, advanced past the arrivals it tested.  The
-    cost is one in-place sort of n packed keys plus the tested arrivals
-    and their merge candidates; the per-leaf tables hold 2^(d k0) entries.
+    whose arm fills the positions of its block that no test played, or
+    passes each child its block of run heads, advanced past the arrivals
+    it tested.  A node is popped only after its ancestors, so those
+    positions are exactly the rest of its runs; terminal blocks are
+    disjoint.  The cost is one in-place sort of n packed keys plus the
+    tested arrivals and their merge candidates; the per-leaf tables hold
+    2^(d k0) entries.
     """
     n = len(X)
     k0 = max_depth(cfg)
-    n_leaves = 1 << (cfg.d * k0)
     order, size = _leaf_order(X, k0)
     run_end = size.cumsum()
     run_start = run_end - size
@@ -145,10 +148,6 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
     life = [lifetime(cfg, k) for k in range(k0 + 1)]
     pairs = [np.arange(1, min(lf, n // 2) + 1, dtype=np.float64) for lf in life]
     eps = [radius(cfg, k, s) for k, s in enumerate(pairs)]
-    # Per leaf run: where its eliminated or committed suffix begins (the
-    # run end while it has none) and the arm that suffix plays.
-    tail_start = run_end.copy()
-    tail_arm = np.zeros(n_leaves, dtype=np.int8)
     played = np.zeros(n, dtype=np.int8)      # indexed by sorted position
     stack = [(0, 0, run_start)]              # (depth, first leaf, run heads)
     while stack:
@@ -177,25 +176,22 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
         # Alternate until the first elimination or the end of the lifetime.
         cut = m if hit is None else 2 * (hit + 1)
         _fill_alternation(played, pos[:cut])
-        rest = head + (cut if runs == 1 else np.bincount(which[:cut], minlength=runs))
         if hit is not None or depth == k0:
             # Eliminate the trailing arm, or, when the lifetime ends at the
             # deepest level, commit to the arm with the larger reward sum,
             # arm 1 on a tie, as AbsePolicy does.  (An eliminating gap
-            # exceeds a positive radius, so it is never 0.)
+            # exceeds a positive radius, so it is never 0.)  The rest of
+            # its runs are the positions of its block that no test played.
             gap = diff[-1 if hit is None else hit]
-            tail_start[first:first + runs] = rest
-            tail_arm[first:first + runs] = 1 if gap >= 0 else 2
+            block = played[run_start[first]:end[-1]]
+            block[block == 0] = 1 if gap >= 0 else 2
             continue
         # Split: child c owns the c-th block of the node's leaf runs.
         width = runs >> cfg.d
+        rest = head + (cut if runs == 1 else np.bincount(which[:cut], minlength=runs))
         alive = (end > rest).reshape(-1, width).any(axis=1)
         for c in np.flatnonzero(alive):
             stack.append((depth + 1, first + c * width, rest[c * width:(c + 1) * width]))
-    # Each leaf run: tested arrivals up to tail_start, then tail_arm's suffix.
-    seg = np.stack([tail_start - run_start, run_end - tail_start], axis=1).ravel()
-    arm = np.stack([np.zeros_like(tail_arm), tail_arm], axis=1).ravel()
-    played += np.repeat(arm, seg)
     actions = np.empty(n, dtype=np.int8)
     for start in range(0, n, rng.BLOCK):    # each block's index made intp
         actions[order[start:start + rng.BLOCK]] = played[start:start + rng.BLOCK]

@@ -26,7 +26,8 @@ def check_noise(noise) -> tuple:
     model = tuple(noise) if isinstance(noise, (list, tuple)) else ()
     sigma = model[1] if len(model) == 2 and model[0] == "gaussian" else None
     real = isinstance(sigma, float) or type(sigma) is int     # not a bool
-    if model == ("bernoulli",) or (real and 0 < sigma < math.inf):
+    # math.isfinite raises OverflowError for an int no float can hold.
+    if model == ("bernoulli",) or (real and 0 < sigma and math.isfinite(sigma)):
         return model
     raise ValueError(f"unknown noise model {noise!r}: use ['gaussian', sigma] "
                      "with sigma > 0 finite, or ['bernoulli']")
@@ -539,7 +540,7 @@ def _level_sweep(obj, q: float, p: int, levels, probe_per_axis: int,
         h = q ** (-level)
         where = {"level": level, "bias": -math.inf}
         for box in qadic_boxes(d, q, level):
-            pts = np.vstack([box.midpoint_nodes(probe_per_axis)[0],
+            pts = np.vstack([box.midpoint_nodes(probe_per_axis),
                              np.where(upper, box.hi, box.lo)])
             for arm, f in arms:
                 proj = project_to_polynomial(f, box, p, h,

@@ -72,25 +72,14 @@ def enumerate_multi_indices(d: int, p: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PolynomialEstimate:
-    """A fitted local polynomial: coefficients xi_s around a center.
+    """A local polynomial fit's value at its center, xi_(0,...,0).
 
     When ``degenerate`` is set the value is zero, matching the convention
     that a non-unique least-squares minimizer yields the zero estimator.
     """
 
-    coefficients: dict
-    center: tuple
-    bandwidth: float
-    degree: int
+    value: float
     degenerate: bool
-
-    @property
-    def value(self) -> float:
-        """Estimate at the center, xi_(0,...,0)."""
-        if self.degenerate:
-            return 0.0
-        d = len(self.center)
-        return self.coefficients[(0,) * d]
 
 
 def fit_local_polynomial(data, center, bandwidth: float, degree: int) -> PolynomialEstimate:
@@ -105,8 +94,8 @@ def fit_local_polynomial(data, center, bandwidth: float, degree: int) -> Polynom
 
     Returns
     -------
-    PolynomialEstimate, possibly with degenerate=True when the in-window
-    design does not pin down a unique minimizer.
+    PolynomialEstimate(value, degenerate), with degenerate=True and value
+    0 when the in-window design does not pin down a unique minimizer.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -117,53 +106,30 @@ def fit_local_polynomial(data, center, bandwidth: float, degree: int) -> Polynom
     X = np.asarray(data[0], dtype=float).reshape(-1, d)
     y = np.asarray(data[1], dtype=float)
     indices = enumerate_multi_indices(d, degree)
-    m = len(indices)
 
     dx = X - center_arr
     inside = np.max(np.abs(dx), axis=1) <= bandwidth
     dxw = dx[inside]
     yw = y[inside]
 
-    def _degenerate():
-        return PolynomialEstimate(
-            coefficients={},
-            center=tuple(center_arr),
-            bandwidth=float(bandwidth),
-            degree=degree,
-            degenerate=True,
-        )
-
-    if len(yw) == 0:
-        return _degenerate()
-
     # Monomials (X_i - x)^s for every index, shape (n_window, m).
-    mono = np.empty((len(yw), m))
+    mono = np.empty((len(yw), len(indices)))
     for j, s in enumerate(indices):
         mono[:, j] = np.prod(dxw ** np.asarray(s, dtype=float), axis=1)
 
     Q = mono.T @ mono
     V = mono.T @ yw
 
-    scale = np.max(np.abs(Q))
-    if scale == 0.0:
-        return _degenerate()
-    eigmin = np.linalg.eigvalsh(Q)[0]
-    if eigmin <= SINGULARITY_TOL * scale:
-        return _degenerate()
+    # An empty window gives Q = 0, which the gate flags (0 <= 0).
+    if np.linalg.eigvalsh(Q)[0] <= SINGULARITY_TOL * np.max(np.abs(Q)):
+        return PolynomialEstimate(0.0, True)
 
     # SPD solve via Cholesky; the eigenvalue gate above makes this safe and
     # keeps the zero-fallback semantics exact (no pseudo-inverse rescue).
+    # The indices are sorted, so xi[0] is the constant term.
     L = np.linalg.cholesky(Q)
     xi = np.linalg.solve(L.T, np.linalg.solve(L, V))
-
-    coefs = {s: float(xi[j]) for j, s in enumerate(indices)}
-    return PolynomialEstimate(
-        coefficients=coefs,
-        center=tuple(center_arr),
-        bandwidth=float(bandwidth),
-        degree=degree,
-        degenerate=False,
-    )
+    return PolynomialEstimate(float(xi[0]), False)
 
 
 # Budget of (center, candidate point) pairs gathered at once by the d >= 2

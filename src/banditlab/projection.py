@@ -64,15 +64,13 @@ class Box:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def midpoint_nodes(self, n_per_axis: int):
-        """Tensor midpoint nodes, shape (n_per_axis^d, d), and cell volume."""
+        """Tensor midpoint nodes, shape (n_per_axis^d, d)."""
         axes = [
             lo + (hi - lo) * (np.arange(n_per_axis) + 0.5) / n_per_axis
             for lo, hi in zip(self.lo, self.hi)
         ]
         grids = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1)
-        cell_vol = float(np.prod(self.side) / n_per_axis ** self.d)
-        return nodes, cell_vol
+        return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def eval_points(f, nodes: np.ndarray) -> np.ndarray:
@@ -107,7 +105,7 @@ def project_to_polynomial(f, bin_box: Box, degree: int, bandwidth: float,
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    nodes, _ = bin_box.midpoint_nodes(nodes_per_axis)
+    nodes = bin_box.midpoint_nodes(nodes_per_axis)
     fv = eval_points(f, nodes)
 
     def g(x):
@@ -137,7 +135,7 @@ def brute_force_projection(f, bin_box: Box, degree: int, bandwidth: float,
     d = bin_box.d
     n_axis = max(2, int(round(grid_n ** (1.0 / d))))
     powers = enumerate_multi_indices(d, degree)
-    nodes, _ = bin_box.midpoint_nodes(n_axis)
+    nodes = bin_box.midpoint_nodes(n_axis)
     fv = eval_points(f, nodes)
 
     def g(x):

@@ -128,6 +128,22 @@ class TestUpdate:
         with pytest.raises(StateDesyncError):
             pol.update([0.2], 2, 0.5)  # round robin expects arm 1 first
 
+    @pytest.mark.parametrize("state,match", [
+        ("no-bin", r"no live or committed bin contains \[0.2\]"),
+        ("committed", "bin committed to arm 1 but arm 2 played"),
+    ], ids=["no-bin", "committed"])
+    def test_state_desync_rejected(self, state, match):
+        pol = AbsePolicy(cfg(T=1000, noise_scale=0.05))
+        x = [0.2]
+        if state == "no-bin":
+            pol.bins.clear()
+        else:
+            while not pol._find(x).committed:
+                pol.update(x, 1, 0.9)
+                pol.update(x, 2, 0.0)
+        with pytest.raises(StateDesyncError, match=match):
+            pol.update(x, 2, 0.0)
+
 
 class TestInvariants:
     def _run(self, pol, T, seed):

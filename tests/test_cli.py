@@ -31,6 +31,9 @@ from banditlab.policies import PolicySpec
 from banditlab.sacb import SacbConfig
 
 
+# An integer no float can hold: JSON writes and reads it as 401 digits.
+HUGE = 10 ** 400
+
 MINIMAL = {
     "instance": {"kind": "setting1", "beta": 0.9},
     "policies": [{"kind": "sacb"}],
@@ -233,6 +236,12 @@ class TestRun:
         assert main(["run", "--config", str(p)]) == 2
         assert "config file must hold a JSON object, got list" in capsys.readouterr().err
 
+    def test_malformed_config_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "broken.json"
+        p.write_text("{")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config parse error at line 1" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -270,7 +279,8 @@ class TestRun:
     # 0.145, the next two failed mid-run (exit 3, partial results.csv).  A
     # misspelled fixed key ran arm 1, oracle took any key, a true arm ran
     # arm 1, and an empty tilde_beta sweep dropped the anonymous abse (exit
-    # 0, one row).
+    # 0, one row).  An unknown policy kind, or an abse beta out of range,
+    # stays a config error.
     @pytest.mark.parametrize("over,match", [
         ({"policies": [{"kind": "sacb", "gama": 9.0}]}, "gama"),
         ({"policies": [{"kind": "abse"}], "sweep": {"tilde_beta": [0.5, 1.2]}},
@@ -284,8 +294,12 @@ class TestRun:
          "arm must be 1 or 2, got True"),
         ({"policies": [{"kind": "abse"}, {"kind": "abse", "beta": 0.9}],
           "sweep": {"tilde_beta": []}}, "sweep.tilde_beta must not be empty"),
+        ({"policies": [{"kind": "greedy"}]}, r"policies\[0\].kind must be one of"),
+        ({"policies": [{"kind": "abse", "beta": 1.5}]},
+         r"policies\[0\]: beta must be in \(0, 1\], got 1.5"),
     ], ids=["unknown-key", "tilde-beta-range", "negative-c0", "fixed-key",
-            "oracle-key", "bool-arm", "empty-sweep"])
+            "oracle-key", "bool-arm", "empty-sweep", "policy-kind",
+            "abse-beta-range"])
     def test_policy_config_error_exits_2_before_writing(self, tmp_path, over,
                                                         match):
         p = small_config(tmp_path, **over)
@@ -314,7 +328,12 @@ class TestRun:
     # ["gaussian"] escaped as an IndexError traceback, and ["cauchy", 1],
     # "gaussian" and a sigma of -0.1 or 0 failed mid-run (exit 3,
     # header-only results.csv); so did a setting's sigma override of 0.  A
-    # beta that is not a number stays a config error.  Nothing is written
+    # beta that is not a number stays a config error, and so does an
+    # unknown sweep key.  An integer too large for a float (10**400) as an
+    # instance or sweep beta, a power delta, a setting override or an abse
+    # number escaped as an OverflowError traceback (exit 1); as a sacb
+    # gamma or a Gaussian sigma it passed parsing, then the run died (exit
+    # 1) after writing a header-only results.csv and a manifest.json.  Nothing is written
     # anywhere: the run starts in tmp_path, which holds only the config.
     @pytest.mark.parametrize("over,match", [
         ({"T": 1, "policies": [{"kind": "abse", "beta": 0.9}]},
@@ -373,6 +392,24 @@ class TestRun:
          "instance: could not convert string to float: 'a'"),
         ({"instance": {"kind": "setting1", "beta": "a"}},
          "instance: could not convert string to float: 'a'"),
+        ({"sweep": {"n": [1]}}, "sweep key 'n' not supported"),
+        ({"instance": {"kind": "setting1", "beta": HUGE}},
+         "instance: int too large to convert to float"),
+        ({"sweep": {"beta": [0.9, HUGE]}},
+         "instance: int too large to convert to float"),
+        ({"instance": {"kind": "power", "beta": 0.6, "delta": HUGE},
+          "policies": [{"kind": "abse", "beta": 0.6}]},
+         "instance: int too large to convert to float"),
+        ({"instance": {"kind": "setting1", "beta": 0.9,
+                       "overrides": {"M": HUGE}}},
+         "instance: int too large to convert to float"),
+        ({"policies": [{"kind": "abse", "beta": 0.9, "c0": HUGE}]},
+         r"policies\[0\]: c0 is an integer too large for a float"),
+        ({"policies": [{"kind": "sacb", "gamma": HUGE}]},
+         r"policies\[0\]: gamma is an integer too large for a float"),
+        ({"instance": {"kind": "power", "beta": 0.6, "noise": ["gaussian", HUGE]},
+          "policies": [{"kind": "abse", "beta": 0.6}]},
+         "instance: int too large to convert to float"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
@@ -384,7 +421,10 @@ class TestRun:
             "output-dir-number", "tilde-beta-string", "tilde-beta-bool",
             "noise-no-sigma", "noise-cauchy", "noise-string",
             "noise-negative-sigma", "noise-zero-sigma", "setting-zero-sigma",
-            "sweep-beta-string", "instance-beta-string"])
+            "sweep-beta-string", "instance-beta-string", "sweep-key",
+            "huge-instance-beta", "huge-sweep-beta", "huge-power-delta",
+            "huge-override", "huge-abse-c0", "huge-sacb-gamma",
+            "huge-noise-sigma"])
     def test_horizon_and_integer_errors_exit_2_before_writing(
             self, tmp_path, monkeypatch, over, match):
         p = small_config(tmp_path, **over)
@@ -508,6 +548,18 @@ class TestSweepAndPlot:
         header = curves[0].read_text().splitlines()[1]
         assert header == "x,mean,ci_lo,ci_hi"
 
+    # With one tilde_beta value no axis takes two values, and tilde_beta,
+    # being set, is the axis.
+    def test_one_value_tilde_beta_sweep_is_the_axis(self, tmp_path):
+        p = small_config(tmp_path, T=5_000, reps=1, policies=[{"kind": "abse"}],
+                         sweep={"tilde_beta": [0.7]})
+        assert main(["run", "--config", str(p), "--figure", "sweep"]) == 0
+        pdir = Path(json.loads(p.read_text())["output_dir"]) / "plotdata"
+        curve = (pdir / "curve_abse_0p7.csv").read_text().splitlines()
+        assert curve[1] == "x,mean,ci_lo,ci_hi"
+        assert [line.split(",")[0] for line in curve[2:]] == ["0.7"]
+        assert "tilde_beta" in (pdir / "sweep.svg").read_text()
+
     def test_sweep_figure_without_sweep_exits_2_before_running(self, tmp_path):
         p = small_config(tmp_path, T=5_000)
         assert main(["run", "--config", str(p), "--figure", "sweep"]) == 2
@@ -546,6 +598,11 @@ class TestSweepAndPlot:
         assert main(["run", "--config", str(p)]) == 0
         assert main(["plot", "--config", str(p), "--figure", "table"]) == 2
         assert not (out / "plotdata").exists()
+
+    def test_emit_plot_data_rejects_unknown_figure(self, tmp_path):
+        with pytest.raises(ValidationError, match="unknown figure kind 'bars'"):
+            emit_plot_data([], "bars", tmp_path)
+        assert not (tmp_path / "plotdata").exists()
 
     # The table used to repeat each policy's column once per tilde_beta
     # cell and to recompute relative loss from the rounded regrets.  The

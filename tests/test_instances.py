@@ -408,6 +408,51 @@ class TestMakeInstance:
 LB = {"kind": "lower_bound", "alpha": 1.0, "delta": 0.2, "member": 1}
 
 
+POWER = make_power_payoff(0.6, 1.0)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: bump(0.5, 0.0), ValueError, "beta must be positive"),
+    (lambda: make_power_payoff(1.0, 0.5), ValueError, r"beta must be in \(0, 1\)"),
+    (lambda: make_power_payoff(0.6, 0.0), ValueError, r"delta must be in \(0, 1\]"),
+    (lambda: make_lower_bound_family(0.9, 0.5, 1.0, 0.2, "at-most-lipschitz"),
+     InvalidRegimeError, "needs 0 < beta < gamma <= 1"),
+    (lambda: make_lower_bound_family(0.5, 0.9, 3.0, 0.2, "at-most-lipschitz"),
+     InvalidGapError, "alternative count M=0 < 1"),
+    (lambda: make_lower_bound_family(1.0, 1.0, 1.0, 0.2, "at-least-lipschitz"),
+     InvalidRegimeError, "need gamma > 1"),
+    (lambda: make_lower_bound_family(0.5, 0.9, 1.0, 0.2, "sideways"),
+     InvalidRegimeError, "unknown variant 'sideways'"),
+    (lambda: make_example1_family(0.5, 0.8, 100_000, 3), ValueError,
+     "part must be 1 or 2"),
+    (lambda: make_instance(dict(LB, beta=1.0, gamma=1.5, member=2,
+                                variant="at-least-lipschitz"), 100_000),
+     ValueError, "member 2 outside family of 2"),
+    (lambda: check_holder(POWER, 2.5, 1.0), NotImplementedError, "beta <= 2"),
+    (lambda: check_margin(POWER, 1.0, 1.0, delta_grid=[0.0, 0.5]), ValueError,
+     r"delta grid must lie in \(0, 1\]"),
+    (lambda: check_self_similarity(POWER, 0.6, 0.5, 3, 2, 2.0, 0), ValueError,
+     "l_max must be >= l0"),
+    (lambda: check_self_similarity(POWER, 1.5, 0.5, 1, 2, 2.0, 0), ValueError,
+     r"degree p=0 below floor_strict\(beta\)=1"),
+    (lambda: minimax_exponent(0.0, 1.0, 1), ValueError, "need beta > 0"),
+    (lambda: impossibility_exponent(0.5, 0.9, 2.0, 1, "at-most-lipschitz"),
+     InvalidRegimeError, r"alpha=2.0 outside \(0, 1/gamma\]"),
+    (lambda: impossibility_exponent(1.0, 1.5, 1.5, 1, "at-least-lipschitz"),
+     InvalidRegimeError, r"alpha=1.5 outside \(0, 1\]"),
+    (lambda: impossibility_exponent(0.5, 0.9, 1.0, 1, "sideways"),
+     InvalidRegimeError, "unknown regime 'sideways'"),
+], ids=["bump-beta", "power-beta", "power-delta", "lower-bound-regime",
+        "lower-bound-no-alternative", "lower-bound-gamma", "lower-bound-variant",
+        "example1-part", "member-range", "holder-beta", "margin-delta-grid",
+        "self-similarity-levels", "self-similarity-degree", "minimax-beta",
+        "impossibility-alpha-at-most", "impossibility-alpha-at-least",
+        "impossibility-regime"])
+def test_rejects_bad_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestPointConvention:
     @pytest.mark.parametrize("spec", [
         {"kind": "setting1", "beta": 0.9},

@@ -47,6 +47,11 @@ class TestMultiIndices:
         assert len(out) == len(set(out))
         assert all(sum(s) <= p for s in out)
 
+    @pytest.mark.parametrize("d,p", [(0, 1), (1, -1)])
+    def test_rejects_bad_arguments(self, d, p):
+        with pytest.raises(ValueError, match="need d >= 1 and p >= 0"):
+            enumerate_multi_indices(d, p)
+
 
 class TestFloorStrict:
     def test_at_integers(self):
@@ -142,8 +147,8 @@ class TestFit:
 
 class TestEstimateObject:
     def test_degenerate_contract(self):
-        est = PolynomialEstimate({}, (0.0,), 1.0, 1, True)
-        assert est.value == 0.0
+        est = fit_local_polynomial((np.array([0.9]), np.array([1.0])), 0.0, 0.5, 1)
+        assert est == PolynomialEstimate(0.0, True)
 
 
 # window_fits against a loop over fit_local_polynomial.  The window and the

@@ -107,6 +107,25 @@ class TestSacbLevels:
         assert lv.j2 == lv.l + math.ceil(logq(math.log(T)) / blo)
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: build_partition(0, 2.0, 1), ValueError, "dimension must be >= 1"),
+    (lambda: build_partition(1, 2.0, -1), ValueError, "level must be >= 0"),
+    (lambda: locate_bin(build_partition(2, 2.0, 1), [0.5]), OutOfDomainError,
+     r"point shape \(1,\) != \(d=2,\)"),
+    (lambda: qadic_boxes(1, 1.0, 2), InvalidBaseError, "base q must exceed 1"),
+    (lambda: sacb_levels(100_000, 1, 1.0, 0.4, 1.0, 0.3), InvalidBaseError,
+     "base q must exceed 1"),
+    (lambda: sacb_levels(100_000, 1, 1.1, 0.6, 0.5, 0.3), ValueError,
+     "need 0 < beta_lo <= beta_hi"),
+    (lambda: sacb_levels(100_000, 1, 1.1, 0.4, 1.0, -0.1), ValueError,
+     "upsilon must be >= 0"),
+], ids=["build-d", "build-level", "locate-shape", "qadic-base", "levels-base",
+        "levels-beta-range", "levels-upsilon"])
+def test_rejects_bad_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestMesh:
     def test_left_half_bin(self):
         p = build_partition(1, 2.0, 1)

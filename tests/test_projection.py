@@ -111,3 +111,22 @@ class TestBruteForce:
                                         grid_n=20_000 if d == 1 else 40_000)
             x = box.center if d > 1 else float(box.center[0])
             assert abs(pj(x) - bf(x)) <= 1e-4
+
+
+UNIT = Box.make([0.0], [1.0])
+
+
+# The last case's window holds one row of a 10 x 10 grid of [0, 1] x [0, 10]:
+# six points, enough in number for degree 1 in d = 2 but of rank 2.
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: project_to_polynomial(lambda x: x, UNIT, 0, 0.0), ValueError,
+     "bandwidth must be positive"),
+    (lambda: brute_force_projection(lambda x: x, UNIT, 0, -1.0), ValueError,
+     "bandwidth must be positive"),
+    (lambda: brute_force_projection(lambda v: v[:, 0], Box.make([0, 0], [1, 10]),
+                                    1, 0.3, grid_n=100)((0.5, 5.5)),
+     InsufficientGridError, "grid design rank 2 < basis size 3"),
+], ids=["projection-bandwidth", "brute-force-bandwidth", "brute-force-rank"])
+def test_rejects_bad_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

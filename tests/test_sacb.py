@@ -230,3 +230,16 @@ class TestStatistical:
             if pol.estimate_smoothness() < ceiling - 1e-9:
                 fired_below += 1
         assert fired_below >= 4
+
+
+@pytest.mark.parametrize("over,match", [
+    ({"beta_lo": 0.0}, "need 0 < beta_lo <= beta_hi"),
+    ({"beta_lo": 0.8, "beta_hi": 0.6}, "need 0 < beta_lo <= beta_hi"),
+    ({"gamma": 0.0}, "gamma must be positive"),
+    ({"q": 1.0}, "q: base must exceed 1"),
+    ({"upsilon": -0.1}, "upsilon must be >= 0"),
+    ({"handoff_horizon": "half"}, "bad handoff_horizon 'half'"),
+], ids=["beta-lo-zero", "beta-range", "gamma", "q", "upsilon", "handoff-horizon"])
+def test_config_rejects_bad_tuning(over, match):
+    with pytest.raises(ValueError, match=match):
+        SacbConfig(**over)

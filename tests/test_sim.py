@@ -166,6 +166,20 @@ class TestRewards:
             Rewards(F + 1.0, u, ("bernoulli",))
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: run_episode(flat_instance(), PolicySpec("fixed", {"arm": 1}), 0,
+                         seed=1), "horizon must be >= 1, got 0"),
+    (lambda: summarize([]), "summarize needs at least one trace"),
+    (lambda: run_experiment({"kind": "power", "beta": 0.6},
+                            [PolicySpec("fixed", {"arm": 1})], 100, 0, 1),
+     "reps must be >= 1, got 0"),
+    (lambda: PolicySpec("greedy").build(None, 100), "unknown policy kind 'greedy'"),
+], ids=["episode-horizon", "summarize-empty", "experiment-reps", "spec-kind"])
+def test_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestSummarize:
     def _mk(self, vals):
         return [RegretTrace(checkpoints=(), final_regret=v, inferior_count=0,
