@@ -65,6 +65,22 @@ def _integer(value, name: str, problems: list, low: int | None = None):
     return None
 
 
+def _huge_integers(value, name: str):
+    """The names of the integers in value, nested in objects and lists,
+    that no float can hold."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _huge_integers(item, f"{name}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _huge_integers(item, f"{name}[{i}]")
+    elif type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            yield name
+
+
 def _unit_beta(value) -> bool:
     """Whether value is a number in (0, 1], as a smoothness beta must be."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -145,13 +161,21 @@ def parse_config(path_or_dict) -> dict:
     horizons = [_integer(t, "sweep.T", problems, low=1)
                 for t in cfg["sweep"].get("T", [])]
     horizons = [t for t in horizons or [cfg["T"]] if t is not None]
+    # An integer no float can hold is named; its instance is not built.
+    huge = [f"{name} is an integer too large for a float"
+            for name in itertools.chain(_huge_integers(inst, "instance"),
+                                        _huge_integers(cfg["sweep"].get("beta", []),
+                                                       "sweep.beta"))]
+    problems.extend(huge)
     betas = []
     for beta in (cfg["sweep"].get("beta")
                  or ([inst["beta"]] if "beta" in inst else [])):
         try:
             betas.append(float(beta))
-        except (TypeError, ValueError, OverflowError) as e:
+        except (TypeError, ValueError) as e:
             problems.append(f"instance: {e}")
+        except OverflowError:           # named above
+            pass
 
     policies = raw.get("policies") or []
     if not isinstance(policies, list):
@@ -215,7 +239,7 @@ def parse_config(path_or_dict) -> dict:
             index.setdefault(key, i)
     for (T, beta), specs in groups.items():
         instance = None
-        if kind in INSTANCE_KINDS and betas:
+        if kind in INSTANCE_KINDS and betas and not huge:
             try:
                 instance = make_instance({**inst, "beta": beta}, T)
             except KeyError as e:

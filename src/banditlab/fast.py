@@ -11,21 +11,28 @@ same action sequence as the sequential policies in `abse.py` / `sacb.py`
 modules' rules (cell_coords, lifetime, radius, round_fires,
 handoff_config) rather than restating them.
 
-ABSE is replayed from one leaf-sorted index instead of routing arrivals
-down the tree.  Sorting the arrivals by their depth-k0 cell, and by time
-within a cell, puts each leaf's arrivals in one contiguous, time-ordered
-run, and every node owns a block of consecutive runs.  The index is one
-array of packed keys, (cell << bits) | t, sorted in place and then masked
-to t: 4 bytes an arrival while d k0 + bits <= 32, against the 8 of an
-argsort's intp index and its sort buffer.  A node tests only the
-arrivals its elimination test uses, the first 2 * lifetime of its cell
-from its start time on, and its children start after the last of them;
-so each arrival is tested by at most one node.  A node that eliminates
-or commits writes its arm where its leaf block holds no tested arrival,
-and one scatter at the end puts each arm at its time.  The cost is one
-sort of n packed keys plus the tested arrivals (and, for a node of
-several runs, the at most 2 * lifetime candidates per run it merges them
-from), and the per-leaf tables hold 2^(d k0) < 2^d T / ln T entries.
+ABSE is replayed depth by depth, for a list of configs on one stream at
+once, from one leaf-sorted index instead of routing arrivals down the
+tree.  Sorting the arrivals by their cell at the deepest k0 of the list,
+and by time within a cell, puts each leaf's arrivals in one contiguous,
+time-ordered run; in Morton order a cell of any depth, in any config's
+tree, is a block of consecutive runs.  The index is one array of packed
+keys, (leaf << bits) | t, sorted in place: 4 bytes an arrival while
+d k0 + bits <= 32, against the 8 of an argsort's intp index.  A node is a
+cell and the step it starts at.  It tests the first 2 * lifetime arrivals
+of its cell from its start on, and its children start one step after the
+last of them; so each arrival is tested by at most one node of a config.
+At each depth the nodes of every config are grouped by cell.  Each leaf
+run of a cell gives its arrivals from the cell's earliest start to its
+latest start and the largest 2 * lifetime beyond, and one sort of packed
+(cell << bits) | t keys merges the cells' candidates into time order;
+then each config's nodes are tested at once, as rows.  A node that
+eliminates or commits plays its arm at the steps of its block after its
+last tested arrival: a table per leaf records it, and one pass over the
+keys at the end puts each arm at its time.  So a list costs one sort of n
+keys and, per depth above the deepest, one sort of at most n candidates,
+whatever its length; the per-leaf tables hold 2^(d k0) < 2^d T / ln T
+entries per config.
 
 SACB's estimation phase is replayed round by round from a bin-sorted
 index of a stream prefix.  Round r of a bin reads its arrivals cum[r - 1]
@@ -44,11 +51,13 @@ tests use, not for the whole (T, 2) table.
 
 Memory.  An episode holds its streams: X, the (T, 2) payoffs, the (2, T)
 uniforms that become rewards and their done masks, 34 + 8 d bytes a step.
-On top of them the ABSE engine holds its packed keys and two int8 arrays
-of its n steps (played and actions), SACB its int8 actions and its binned
-prefix, and every other stream-length pass (the draws in `rng`, the cell
-keys here, the scatter of the actions, the regret accounting in `sim`)
-runs rng.BLOCK steps at a time, so its temporaries are that long.
+On top of them the ABSE engine holds its packed keys, one depth's cell
+lists (at most n keys; none at the deepest depth, which reads the keys)
+and one int8 array of actions per config it replays; SACB holds its int8
+actions and its binned prefix.  Every other stream-length pass (the draws
+in `rng`, the cell keys, the candidates and the test rows here, the
+scatter of the actions, the regret accounting in `sim`) runs rng.BLOCK
+steps at a time, so its temporaries are that long.
 """
 
 from __future__ import annotations
@@ -64,12 +73,6 @@ from .sacb import SacbPolicy, round_samples
 from .locpoly import fit_local_polynomial  # noqa: F401
 
 
-def _fill_alternation(actions: np.ndarray, idx: np.ndarray) -> None:
-    """abse.next_arm over one bin's arrivals: arm 1, arm 2, arm 1, ..."""
-    actions[idx[0::2]] = 1
-    actions[idx[1::2]] = 2
-
-
 def _key_dtype(n_codes: int) -> np.dtype:
     """The narrowest unsigned dtype that holds n_codes - 1.
 
@@ -78,124 +81,232 @@ def _key_dtype(n_codes: int) -> np.dtype:
     return np.min_scalar_type(n_codes - 1)
 
 
-def _leaf_order(X: np.ndarray, k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The arrivals sorted by depth-k0 cell, and the cells' arrival counts.
+def _leaf_keys(X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """The arrivals' packed keys (leaf << bits) | t, sorted, and bits.
 
-    In d >= 2 the axes' cell bits are interleaved (a Morton code), axis 0
-    most significant, as AbsePolicy orders a split's children; so the
-    leaves of any cell at any depth form one contiguous block.  Arrival t
-    of cell c is the packed key (c << bits) | t, bits enough for n - 1, in
-    the narrowest unsigned dtype of d k0 + bits bits (uint32 while that is
-    at most 32).  The keys are made rng.BLOCK points at a time, so each
-    cell_coords call's float64 and int64 temporaries are that long, and
-    sorted in place.  They are distinct, so they sort as a stable argsort
-    by cell would; the counts are found by binary search, and masking off
-    the cell bits leaves the order, in the key dtype.
+    leaf is the depth-k cell of arrival t.  In d >= 2 the axes' cell bits
+    are interleaved (a Morton code), axis 0 most significant, as
+    AbsePolicy orders a split's children; so the leaves of any cell at any
+    depth up to k form one contiguous block.  bits is enough for n - 1,
+    and the keys take the narrowest unsigned dtype of d k + bits bits
+    (uint32 while that is at most 32).  They are made rng.BLOCK points at
+    a time, so each cell_coords call's float64 and int64 temporaries are
+    that long, and sorted in place.  They are distinct, so each leaf's
+    arrivals form one time-ordered run, as a stable argsort by leaf would
+    order them.
     """
     n = len(X)
     bits = max(n - 1, 0).bit_length()
-    n_leaves = 1 << (X.shape[1] * k0)
-    dtype = _key_dtype(n_leaves << bits)
-    shift, mask = dtype.type(bits), dtype.type((1 << bits) - 1)
+    dtype = _key_dtype((1 << (X.shape[1] * k)) << bits)
+    shift = dtype.type(bits)
     keys = np.empty(n, dtype=dtype)
     for start in range(0, n, rng.BLOCK):
-        coords = cell_coords(X[start:start + rng.BLOCK], 1 << k0)
+        coords = cell_coords(X[start:start + rng.BLOCK], 1 << k)
         code = coords[:, 0]
         if coords.shape[1] > 1:
             code = np.zeros(len(coords), dtype=np.int64)
-            for bit in range(k0 - 1, -1, -1):
+            for bit in range(k - 1, -1, -1):
                 for col in coords.T:
                     code = 2 * code + ((col >> bit) & 1)
         stop = start + len(code)
         np.bitwise_or(code.astype(dtype) << shift,
                       np.arange(start, stop, dtype=dtype), out=keys[start:stop])
     keys.sort()
-    # Cell c's run ends after its last key, (c << bits) | mask.
-    run_end = np.searchsorted(keys, np.arange(n_leaves, dtype=dtype) << shift | mask,
-                              side="right")
-    keys &= mask
-    return keys, np.diff(run_end, prepend=0)
+    return keys, bits
+
+
+def _ranges(start: np.ndarray, length: np.ndarray):
+    """start[i], start[i] + 1, ..., start[i] + length[i] - 1, range after
+    range, in blocks of at most rng.BLOCK positions."""
+    end = np.cumsum(length)
+    total = int(end[-1]) if len(end) else 0
+    for a in range(0, total, rng.BLOCK):
+        b = min(a + rng.BLOCK, total)
+        # Ranges r to s meet [a, b); cut the first and the last to it.
+        r, s = np.searchsorted(end, [a, b - 1], side="right")
+        head, size = start[r:s + 1].copy(), length[r:s + 1].copy()
+        skip = a - end[r] + length[r]
+        head[0] += skip
+        size[0] -= skip
+        size[-1] -= end[s] - b
+        yield np.repeat(head - size.cumsum() + size, size) + np.arange(a, b) - a
+
+
+def _subcells(cells: np.ndarray, shift: int) -> np.ndarray:
+    """The cells shift Morton bits below each of cells, cell by cell."""
+    return (cells[:, None] << shift | np.arange(1 << shift)).ravel()
+
+
+def _cell_lists(keys, bits, run_end, shift, cells, starts, need):
+    """The arrivals the nodes of one depth may test, merged per cell.
+
+    A node of cell c, starting at step s, tests the first need arrivals of
+    c at or after s.  In each leaf run of c these lie among the arrivals
+    before the latest start t_max on c plus the next m_max, the largest
+    need on c; so each run gives its arrivals from the earliest start
+    t_min on, up to that many.  A node that finds fewer than its need in
+    the lists has them all: no run was cut short for it.  Returns them as
+    packed (c << bits) | t keys, sorted: each cell's list in time order.
+    At the deepest depth a cell is one leaf run, and the keys are its list.
+    """
+    if not shift:
+        return keys
+    by_cell = cells.argsort()
+    cells, starts, need = cells[by_cell], starts[by_cell], need[by_cell]
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    per = 1 << shift                    # leaf runs per cell
+    leaf = _subcells(cells[first], shift)
+    dtype = keys.dtype
+    head = leaf.astype(dtype) << dtype.type(bits)
+    lo, mid = (np.searchsorted(keys, head | np.repeat(t, per).astype(dtype))
+               for t in (np.minimum.reduceat(starts, first),
+                         np.maximum.reduceat(starts, first)))
+    take = np.minimum(run_end[leaf] - lo,
+                      mid - lo + np.repeat(np.maximum.reduceat(need, first), per))
+    lists = np.empty(int(take.sum()), dtype=dtype)
+    at = 0
+    for pos in _ranges(lo, take):       # leaf to cell, in each key
+        block = keys[pos]
+        lists[at:at + len(pos)] = (block >> dtype.type(bits + shift) << dtype.type(bits)
+                                   | block & dtype.type((1 << bits) - 1))
+        at += len(pos)
+    lists.sort()
+    return lists
+
+
+def _test_nodes(cfg, depth, lists, first, length, mask, rewards, actions):
+    """The elimination tests of one config's nodes at one depth, as rows.
+
+    Node i tests lists[first[i]:first[i] + length[i]], its first length[i]
+    arrivals from its start: the arms alternate 1, 2, 1, ..., and after s
+    pairs the gap of reward sums / s is tested against radius(cfg, depth,
+    s), as AbsePolicy does.  Each row's cumsum adds its pairs in order, so
+    its sums are bit for bit those of the node alone; a short row's
+    padding sits after its last pair.  The rows are tested in blocks of at
+    most rng.BLOCK entries, and each node's arrivals up to its first
+    elimination, or all of them, are played in actions.  Returns, per
+    node, whether it eliminated, its gap (at the elimination, or after its
+    last pair) and the step of its last played arrival (-1 if none).
+    """
+    fired = np.zeros(len(first), dtype=bool)
+    gap = np.zeros(len(first))
+    last = np.full(len(first), -1, dtype=np.int64)
+    width = int(length.max())
+    if not width:
+        return fired, gap, last
+    pairs = np.arange(1, width // 2 + 1, dtype=np.float64)
+    eps = radius(cfg, depth, pairs)
+    col = np.arange(width)
+    arm = 1 + (col & 1)
+    rows = max(1, rng.BLOCK // width)
+    for a in range(0, len(first), rows):
+        b = slice(a, a + rows)
+        t = (lists[np.minimum(first[b, None] + col, len(lists) - 1)]
+             & mask).astype(np.intp)
+        row = np.arange(len(t))
+        paired = np.arange(len(pairs)) < length[b, None] // 2
+        y = np.zeros((2, len(t), len(pairs)))
+        for i in (0, 1):
+            y[i][paired] = rewards.read(i, t[:, i:2 * len(pairs):2][paired])
+        sums = y.cumsum(axis=2)
+        diff = (sums[0] - sums[1]) / pairs
+        fire = (np.abs(diff) > eps) & paired
+        fired[b] = fire.any(axis=1)
+        hit = fire.argmax(axis=1) if len(pairs) else 0
+        cut = np.where(fired[b], 2 * hit + 2, length[b])
+        played = col < cut[:, None]
+        actions[t[played]] = np.broadcast_to(arm, t.shape)[played]
+        if len(pairs):
+            gap[b] = diff[row, np.where(fired[b], hit, len(pairs) - 1)]
+        last[b] = np.where(cut > 0, t[row, np.maximum(cut - 1, 0)], -1)
+    return fired, gap, last
+
+
+def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
+    """Action sequences of several ABSE configs on one stream.
+
+    X has shape (n, d), the covariates of every config's d; rewards is a
+    `sim.Rewards` over the same n steps, read for the arrivals the
+    elimination tests use.  Returns, per config, int8 actions in {1, 2}.
+
+    Depth-by-depth replay of every config's tree from one index: the
+    packed keys of `_leaf_keys` at the deepest k0 of the configs, in which
+    a cell of any depth is a contiguous block of leaf runs.  A node is a
+    cell and the step it starts at; its tests read the first 2 * lifetime
+    arrivals of its cell from its start on.  At each depth the live nodes
+    of all configs are grouped by cell, each cell's candidates are merged
+    by one sort (`_cell_lists`), and each config's nodes are tested at
+    once, as rows (`_test_nodes`).  A node that eliminates, or reaches its
+    lifetime at its config's k0 (committing to the arm with the larger
+    reward sum, arm 1 on a tie, as AbsePolicy does), plays its arm at the
+    steps of its block after its last tested arrival; its ancestors tested
+    every earlier one.  A node that reaches its lifetime above k0 splits
+    into 2^d children that start one step after its last tested arrival.
+    A node whose stream ends inside its lifetime tests all its arrivals.
+    Terminal blocks are disjoint, and the arms they play are scattered by
+    one pass over the keys at the end, from tables of the 2^(d k0) leaves.
+    """
+    n, d = X.shape
+    k0 = [max_depth(cfg) for cfg in cfgs]
+    deepest = max(k0)
+    keys, bits = _leaf_keys(X, deepest)
+    dtype = keys.dtype
+    mask = dtype.type((1 << bits) - 1)
+    n_leaves = 1 << (d * deepest)
+    run_end = np.searchsorted(keys, np.arange(n_leaves, dtype=dtype) << dtype.type(bits)
+                              | mask, side="right")
+    actions = [np.zeros(n, dtype=np.int8) for _ in cfgs]
+    # Per config and leaf: the arm its terminal node plays, from which step.
+    fill_from = np.full((len(cfgs), n_leaves), n, dtype=np.int64)
+    fill_arm = np.zeros((len(cfgs), n_leaves), dtype=np.int8)
+    cells = [np.zeros(1, dtype=np.int64) for _ in cfgs]    # live nodes
+    starts = [np.zeros(1, dtype=np.int64) for _ in cfgs]
+    for depth in range(deepest + 1):
+        for j in range(len(cfgs)):                       # drop the empty ones
+            cells[j], starts[j] = cells[j][starts[j] < n], starts[j][starts[j] < n]
+        count = np.array([len(c) for c in cells])
+        if not count.any():
+            break
+        need = np.array([2 * lifetime(cfg, depth) if c else 0
+                         for cfg, c in zip(cfgs, count)])
+        shift = d * (deepest - depth)
+        lists = _cell_lists(keys, bits, run_end, shift, np.concatenate(cells),
+                            np.concatenate(starts), np.repeat(need, count))
+        for j, cfg in enumerate(cfgs):
+            if not count[j]:
+                continue
+            head = cells[j].astype(dtype) << dtype.type(bits)
+            first = np.searchsorted(lists, head | starts[j].astype(dtype))
+            length = np.minimum(need[j], np.searchsorted(lists, head | mask,
+                                                         side="right") - first)
+            fired, gap, last = _test_nodes(cfg, depth, lists, first, length, mask,
+                                           rewards, actions[j])
+            lived = ~fired & (length == need[j])
+            ends = fired | lived & (depth == k0[j])
+            leaves = _subcells(cells[j][ends], shift)
+            fill_from[j, leaves] = np.repeat(last[ends] + 1, 1 << shift)
+            fill_arm[j, leaves] = np.repeat(np.where(gap[ends] >= 0, 1, 2), 1 << shift)
+            split = lived & (depth < k0[j])
+            cells[j] = _subcells(cells[j][split], d)
+            starts[j] = np.repeat(last[split] + 1, 1 << d)
+    for start in range(0, n, rng.BLOCK):
+        block = keys[start:start + rng.BLOCK]
+        leaf = (block >> dtype.type(bits)).astype(np.intp)
+        t = (block & mask).astype(np.intp)
+        for acts, after, arm in zip(actions, fill_from, fill_arm):
+            rest = t >= after[leaf]
+            acts[t[rest]] = arm[leaf[rest]]
+    return actions
 
 
 def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
     """Action sequence of ABSE on the stream of covariates X and rewards.
 
-    X has shape (n, d); rewards is a `sim.Rewards` over the same n steps,
-    read for the arrivals the elimination tests use.  Returns int8 actions
-    in {1, 2}.
-
-    Leaf-run replay: after a stable sort by depth-k0 cell, a node at depth
-    k owns 2^(d (k0 - k)) consecutive leaf runs, and the arrivals it has
-    not yet seen are a suffix of each, starting at its run heads.  Its
-    first 2 * lifetime arrivals are among the first 2 * lifetime of each
-    run; merged by time, they feed the node's own cumsum, as AbsePolicy's
-    reward sums do.  The node then ends in an elimination or a commit,
-    whose arm fills the positions of its block that no test played, or
-    passes each child its block of run heads, advanced past the arrivals
-    it tested.  A node is popped only after its ancestors, so those
-    positions are exactly the rest of its runs; terminal blocks are
-    disjoint.  The cost is one in-place sort of n packed keys plus the
-    tested arrivals and their merge candidates; the per-leaf tables hold
-    2^(d k0) entries.
+    X has shape (n, d); rewards is a `sim.Rewards` over the same n steps.
+    Returns int8 actions in {1, 2}.  The replay of a lone policy, and of
+    SACB's handoff: `abse_group_actions` of the list [cfg].
     """
-    n = len(X)
-    k0 = max_depth(cfg)
-    order, size = _leaf_order(X, k0)
-    run_end = size.cumsum()
-    run_start = run_end - size
-    # Each depth's rules: pairs per lifetime, and the radius after
-    # s = 1, 2, ..., lifetime pairs (no node sees more than n / 2 pairs).
-    life = [lifetime(cfg, k) for k in range(k0 + 1)]
-    pairs = [np.arange(1, min(lf, n // 2) + 1, dtype=np.float64) for lf in life]
-    eps = [radius(cfg, k, s) for k, s in enumerate(pairs)]
-    played = np.zeros(n, dtype=np.int8)      # indexed by sorted position
-    stack = [(0, 0, run_start)]              # (depth, first leaf, run heads)
-    while stack:
-        depth, first, head = stack.pop()
-        runs = len(head)
-        end = run_end[first:first + runs]
-        m = 2 * life[depth]
-        if runs == 1:
-            pos = np.arange(head[0], min(head[0] + m, end[0]))
-            idx = order[pos].astype(np.intp)
-        else:
-            take = np.minimum(end - head, m)
-            which = np.repeat(np.arange(runs), take)
-            pos = np.arange(len(which)) + np.repeat(head - take.cumsum() + take, take)
-            idx = order[pos].astype(np.intp)
-            first_m = idx.argsort(kind="stable")[:m]
-            pos, which, idx = pos[first_m], which[first_m], idx[first_m]
-        p = len(idx) // 2
-        diff = (rewards.read(0, idx[0:2 * p:2]).cumsum()
-                - rewards.read(1, idx[1:2 * p:2]).cumsum()) / pairs[depth][:p]
-        fire = np.abs(diff) > eps[depth][:p]
-        hit = int(fire.argmax()) if fire.any() else None
-        if hit is None and len(idx) < m:
-            _fill_alternation(played, pos)  # the stream ends inside the lifetime
-            continue
-        # Alternate until the first elimination or the end of the lifetime.
-        cut = m if hit is None else 2 * (hit + 1)
-        _fill_alternation(played, pos[:cut])
-        if hit is not None or depth == k0:
-            # Eliminate the trailing arm, or, when the lifetime ends at the
-            # deepest level, commit to the arm with the larger reward sum,
-            # arm 1 on a tie, as AbsePolicy does.  (An eliminating gap
-            # exceeds a positive radius, so it is never 0.)  The rest of
-            # its runs are the positions of its block that no test played.
-            gap = diff[-1 if hit is None else hit]
-            block = played[run_start[first]:end[-1]]
-            block[block == 0] = 1 if gap >= 0 else 2
-            continue
-        # Split: child c owns the c-th block of the node's leaf runs.
-        width = runs >> cfg.d
-        rest = head + (cut if runs == 1 else np.bincount(which[:cut], minlength=runs))
-        alive = (end > rest).reshape(-1, width).any(axis=1)
-        for c in np.flatnonzero(alive):
-            stack.append((depth + 1, first + c * width, rest[c * width:(c + 1) * width]))
-    actions = np.empty(n, dtype=np.int8)
-    for start in range(0, n, rng.BLOCK):    # each block's index made intp
-        actions[order[start:start + rng.BLOCK]] = played[start:start + rng.BLOCK]
-    return actions
+    return abse_group_actions([cfg], X, rewards)[0]
 
 
 def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:

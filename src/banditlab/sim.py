@@ -7,8 +7,9 @@ uniform on first read (`Rewards`), so replaying a configuration is
 bit-exact and two policies compared at the same (seed, rep) see identical
 covariates and identical counterfactual rewards (paired comparisons /
 common random numbers).  Every episode runs on the vectorized engine of
-its policy (`fast.run_fast`); the sequential policies are the reference
-those engines are tested against.
+its policy (`fast.run_fast`), and the abse policies of one task are
+replayed together (`fast.abse_group_actions`); the sequential policies are
+the reference those engines are tested against.
 """
 
 from __future__ import annotations
@@ -120,20 +121,25 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int,
 
 def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
                 seed: int, checkpoint_stride: int | None = None, rep: int = 0,
-                streams=None) -> RegretTrace:
+                streams=None, actions=None) -> RegretTrace:
     """One seeded episode of policy_spec; returns the regret trace.
 
     The episode runs on the vectorized engine of the policy the spec
     builds.  streams, if given, is draw_streams(instance, T, seed, rep),
     drawn once and shared by the policies of a replication; the arrays are
-    only read, and the rewards only made.
+    only read, and the rewards only made.  actions, if given, are the
+    actions of an abse spec already replayed on streams, with the other
+    abse specs of its replication (`fast.abse_group_actions`); the episode
+    then only accounts for them.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
     X, F, rewards = streams or draw_streams(instance, T, seed, rep)
-    policy = policy_spec.build(instance, T)
-    actions = fast.run_fast(policy, X, rewards, F)
+    policy = None
+    if actions is None:
+        policy = policy_spec.build(instance, T)
+        actions = fast.run_fast(policy, X, rewards, F)
 
     # A step is inferior iff the other arm pays strictly more.  Its regret,
     # best - chosen, is then |F0 - F1| bit for bit, and +0.0 otherwise.
@@ -195,12 +201,22 @@ def summarize(traces) -> ExperimentSummary:
 
 
 def _replication_cell(args):
-    """A group of policies on one replication, sharing one draw of its streams."""
+    """A group of policies on one replication, sharing one draw of its streams.
+
+    Its abse policies are replayed together, from one sort of the
+    covariates; each holds its int8 actions until its episode accounts
+    for them.
+    """
     instance_spec, T, policy_specs, rep, base_seed, stride = args
     instance = make_instance(instance_spec, T)
     streams = draw_streams(instance, T, base_seed, rep)
+    abse = [ps.build(instance, T).config for ps in policy_specs if ps.kind == "abse"]
+    replayed = iter(fast.abse_group_actions(abse, streams.X, streams.rewards)
+                    if abse else [])
     return [run_episode(instance, ps, T, base_seed, checkpoint_stride=stride,
-                        rep=rep, streams=streams) for ps in policy_specs]
+                        rep=rep, streams=streams,
+                        actions=next(replayed) if ps.kind == "abse" else None)
+            for ps in policy_specs]
 
 
 def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,

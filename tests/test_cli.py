@@ -33,6 +33,8 @@ from banditlab.sacb import SacbConfig
 
 # An integer no float can hold: JSON writes and reads it as 401 digits.
 HUGE = 10 ** 400
+LOWER_BOUND_INSTANCE = {"kind": "lower_bound", "beta": 0.5, "gamma": 0.9,
+                        "alpha": 1.0, "delta": 0.25, "member": 1}
 
 MINIMAL = {
     "instance": {"kind": "setting1", "beta": 0.9},
@@ -394,22 +396,26 @@ class TestRun:
          "instance: could not convert string to float: 'a'"),
         ({"sweep": {"n": [1]}}, "sweep key 'n' not supported"),
         ({"instance": {"kind": "setting1", "beta": HUGE}},
-         "instance: int too large to convert to float"),
+         r"^instance\.beta is an integer too large for a float$"),
         ({"sweep": {"beta": [0.9, HUGE]}},
-         "instance: int too large to convert to float"),
+         r"^sweep\.beta\[1\] is an integer too large for a float$"),
         ({"instance": {"kind": "power", "beta": 0.6, "delta": HUGE},
           "policies": [{"kind": "abse", "beta": 0.6}]},
-         "instance: int too large to convert to float"),
+         r"^instance\.delta is an integer too large for a float$"),
         ({"instance": {"kind": "setting1", "beta": 0.9,
                        "overrides": {"M": HUGE}}},
-         "instance: int too large to convert to float"),
+         r"^instance\.overrides\.M is an integer too large for a float$"),
         ({"policies": [{"kind": "abse", "beta": 0.9, "c0": HUGE}]},
          r"policies\[0\]: c0 is an integer too large for a float"),
         ({"policies": [{"kind": "sacb", "gamma": HUGE}]},
          r"policies\[0\]: gamma is an integer too large for a float"),
         ({"instance": {"kind": "power", "beta": 0.6, "noise": ["gaussian", HUGE]},
           "policies": [{"kind": "abse", "beta": 0.6}]},
-         "instance: int too large to convert to float"),
+         r"^instance\.noise\[1\] is an integer too large for a float$"),
+        *[({"instance": {**LOWER_BOUND_INSTANCE, key: HUGE},
+            "policies": [{"kind": "abse", "beta": 0.5}]},
+           rf"^instance\.{key} is an integer too large for a float$")
+          for key in ("gamma", "d")],
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
@@ -424,7 +430,7 @@ class TestRun:
             "sweep-beta-string", "instance-beta-string", "sweep-key",
             "huge-instance-beta", "huge-sweep-beta", "huge-power-delta",
             "huge-override", "huge-abse-c0", "huge-sacb-gamma",
-            "huge-noise-sigma"])
+            "huge-noise-sigma", "huge-lower-bound-gamma", "huge-lower-bound-d"])
     def test_horizon_and_integer_errors_exit_2_before_writing(
             self, tmp_path, monkeypatch, over, match):
         p = small_config(tmp_path, **over)

@@ -152,20 +152,20 @@ def morton_leaf(X, k0):
     pytest.param(2, 10, 5_000, np.uint64, id="uint64"),
 ])
 def test_abse_leaf_keys_in_blocks(d, k0, n, dtype, monkeypatch):
-    """The packed-key order, made in one block or 7 points at a time, is a
-    stable argsort of the points by leaf, and the counts are per leaf."""
+    """The packed keys, made in one block or 7 points at a time, order the
+    points as a stable argsort by leaf: their time bits are that order,
+    and their leaf bits each point's leaf."""
     k0 = k0 or max_depth(AbseConfig(beta=0.5, T=n, d=d, gamma_abse=0.5))
     X = np.random.default_rng(12).random((n, d))
     X[:3] = [[0.0] * d, [1.0] * d, [0.5] * d]
     leaf = morton_leaf(X, k0)
     want = np.argsort(leaf, kind="stable")
-    want_size = np.bincount(leaf, minlength=2 ** (d * k0))
     for block in (rng.BLOCK, 7):
         monkeypatch.setattr(rng, "BLOCK", block)
-        order, size = fast._leaf_order(X, k0)
-        assert order.dtype == dtype
-        assert np.array_equal(order, want)
-        assert np.array_equal(size, want_size)
+        keys, bits = fast._leaf_keys(X, k0)
+        assert keys.dtype == dtype and bits == (n - 1).bit_length()
+        assert np.array_equal(keys & ((1 << bits) - 1), want)
+        assert np.array_equal(keys >> bits, leaf[want])
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -190,12 +190,22 @@ def test_abse_engine_on_cell_edges(d, monkeypatch):
     mean = np.where(X[:, :1] < 0.5, [0.8, 0.3], [0.35, 0.7])
     U = g.random((T, 2))
     seq_pol = AbsePolicy(cfg)
-    a_seq = sequential_actions(seq_pol, X, (U < mean).astype(np.float64))
+    Y = (U < mean).astype(np.float64)
+    a_seq = sequential_actions(seq_pol, X, Y)
     assert max(k for k, _ in seq_pol.bins) == k0
+    # In a group with a deeper tree the index is made at the deeper k0, and
+    # cfg reads each of its cells as a block of those leaves.
+    deep = AbseConfig(beta=0.2, T=T, d=d, c0=4.0, gamma_abse=0.5)
+    assert max_depth(deep) > k0
+    a_deep = sequential_actions(AbsePolicy(deep), X, Y)
     for block in (rng.BLOCK, 7):
         monkeypatch.setattr(rng, "BLOCK", block)
         rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
         assert np.array_equal(fast.abse_actions(cfg, X, rewards), a_seq)
+        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        group = fast.abse_group_actions([deep, cfg], X, rewards)
+        assert np.array_equal(group[0], a_deep)
+        assert np.array_equal(group[1], a_seq)
 
 
 def test_sacb_engine_with_16_bit_bin_keys():
@@ -367,11 +377,83 @@ def test_run_episode_paths_agree():
 
 LOWER_BOUND = {"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,
                "delta": 0.25, "member": 1}
+SETTING1_M8 = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+TABLE3_BETAS = [0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+
+
+def group_then_reference(instance, policies, n, seed):
+    """The group engine's actions of policies on a fresh n-step stream, then
+    the dense Y, as engine_then_reference does for one policy."""
+    X, _, rewards = sim.draw_streams(instance, n, seed)
+    group = fast.abse_group_actions([p.config for p in policies], X, rewards)
+    Y = dense_rewards(sim.draw_streams(instance, n, seed).rewards, n)
+    assert np.array_equal(dense_rewards(rewards, n), Y)
+    return X, Y, group
+
+
+# Groups of abse specs replayed on one stream: the instance, each spec's
+# params, the horizon the specs are built for, the stream's length (None:
+# the horizon) and the seed.
+GROUPS = [
+    pytest.param(SETTING1_M8, [{"beta": b} for b in TABLE3_BETAS], 20_000, None, 3,
+                 id="table3"),
+    # c0 = 4 gives short lifetimes: many nodes of several configs share
+    # each cell, at different starts.
+    *[pytest.param(SETTING1_M8, [{"beta": b / 10, "c0": 4.0} for b in range(3, 11)],
+                   20_000, None, seed, id=f"short-lifetimes-{seed}") for seed in (3, 17)],
+    pytest.param(dict(LOWER_BOUND, d=2),
+                 [{"beta": 0.5, "c0": 4.0, "gamma_abse": 0.25},
+                  {"beta": 0.75, "c0": 2.0, "gamma_abse": 1.0},
+                  {"beta": 0.6, "c0": 4.0, "gamma_abse": 2.0},
+                  {"beta": 0.9, "c0": 2.0, "gamma_abse": 0.25}], 15_000, None, 3,
+                 id="d2-mixed"),
+    pytest.param(SETTING1_M8, [{"beta": 0.7, "gamma_abse": g} for g in (0.25, 0.5, 1.0, 2.0)],
+                 20_000, None, 17, id="one-beta"),
+    # Streams shorter than the horizon end inside lifetimes, as a handoff's do.
+    *[pytest.param(SETTING1_M8, [{"beta": b} for b in (0.4, 0.7, 1.0)], 20_000, n, 3,
+                   id=f"cut-{n}") for n in (17, 1000, 4099)],
+    # The Bernoulli tie at a depth-k0 commit (see CASES), in a group.
+    pytest.param(dict(LOWER_BOUND, d=2),
+                 [{"beta": 0.75, "c0": 4.0, "gamma_abse": 1.0},
+                  {"beta": 0.5, "c0": 4.0, "gamma_abse": 0.25}], 5_000, None, 17,
+                 id="bernoulli-tie"),
+]
+
+
+@pytest.mark.parametrize("inst_spec,params,T,n,seed", GROUPS)
+def test_group_matches_sequential(inst_spec, params, T, n, seed):
+    """Each config of a group replays as its own AbsePolicy."""
+    instance = make_instance(inst_spec, T)
+    policies = [PolicySpec("abse", p).build(instance, T) for p in params]
+    X, Y, group = group_then_reference(instance, policies, n or T, seed)
+    for policy, actions in zip(policies, group, strict=True):
+        assert np.array_equal(actions, sequential_actions(policy, X, Y))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_group_on_skewed_covariates(seed):
+    """Covariates x = u^4 crowd near 0, so the leaf runs of a cell fill
+    unevenly.  A node that starts late on a cell then reads more of one
+    run than the window from the cell's earliest start, as long as the
+    largest need, holds; each run must give its arrivals up to the latest
+    start as well."""
+    T = 20_000
+    instance = make_instance(SETTING1_M8, T)
+    policies = [PolicySpec("abse", {"beta": b / 10, "c0": 4.0}).build(instance, T)
+                for b in range(3, 11)]
+    g = np.random.default_rng(seed)
+    X = g.random((T, 1)) ** 4
+    F, u = instance.payoffs(X), g.random((2, T))
+    group = fast.abse_group_actions([p.config for p in policies], X,
+                                    sim.Rewards(F, u.copy(), instance.noise))
+    Y = dense_rewards(sim.Rewards(F, u.copy(), instance.noise), T)
+    for policy, actions in zip(policies, group, strict=True):
+        assert np.array_equal(actions, sequential_actions(policy, X, Y))
 
 
 @st.composite
 def engine_cases(draw):
-    """An instance spec, a policy spec, a horizon and a seed."""
+    """An instance spec, 1 sacb or 1-4 abse specs, a horizon and a seed."""
     d = draw(st.sampled_from([1, 2]))
     kind = "lower_bound" if d == 2 else draw(
         st.sampled_from(["setting1", "power", "lower_bound"]))
@@ -388,10 +470,11 @@ def engine_cases(draw):
         inst = dict(LOWER_BOUND, d=d)
         T = draw(st.integers(300, 5000))
     if draw(st.booleans()):
-        params = {"beta": draw(st.floats(0.2, 1.0)),
-                  "c0": draw(st.sampled_from([2.0, 4.0])),
-                  "gamma_abse": draw(st.sampled_from([0.25, 1.0, 2.0]))}
-        pspec = PolicySpec("abse", params)
+        pspecs = [PolicySpec("abse", {
+            "beta": draw(st.floats(0.2, 1.0)),
+            "c0": draw(st.sampled_from([2.0, 4.0])),
+            "gamma_abse": draw(st.sampled_from([0.25, 1.0, 2.0]))})
+            for _ in range(draw(st.integers(1, 4)))]
     else:
         beta_lo = draw(st.floats(0.4, 1.0))
         params = {"beta_lo": beta_lo,
@@ -400,28 +483,33 @@ def engine_cases(draw):
                   "gamma": draw(st.floats(0.05, 2.0)),
                   "upsilon": draw(st.floats(0.5, 3.0)),
                   "handoff_horizon": draw(st.sampled_from(["full", "remaining"]))}
-        pspec = PolicySpec("sacb", params)
+        pspecs = [PolicySpec("sacb", params)]
         if d == 2:
             # The sequential policy fits every mesh point each round; in
             # d = 2 the mesh reaches 10^8 points, so keep it under 3 * 10^4.
             lv = sacb_levels(T, d, params["q"], beta_lo, params["beta_hi"],
                              params["upsilon"])
             assume(cells_per_axis(params["q"], lv.l_tilde) ** d <= 30_000)
-    return inst, pspec, T, draw(st.integers(0, 2 ** 16))
+    return inst, pspecs, T, draw(st.integers(0, 2 ** 16))
 
 
 @settings(max_examples=100, deadline=None)
 @given(engine_cases())
 def test_engine_matches_sequential_fuzz(case):
-    inst_spec, pspec, T, seed = case
+    inst_spec, pspecs, T, seed = case
     instance = make_instance(inst_spec, T)
-    fast_pol = pspec.build(instance, T)
+    fast_pols = [ps.build(instance, T) for ps in pspecs]
+    if pspecs[0].kind == "abse":
+        X, Y, group = group_then_reference(instance, fast_pols, T, seed)
+        for ps, actions in zip(pspecs, group, strict=True):
+            assert np.array_equal(actions, sequential_actions(ps.build(instance, T), X, Y))
+        return
+    fast_pol, = fast_pols
     with mock.patch.object(fast, "abse_actions", wraps=fast.abse_actions) as spy:
         X, Y, a_fast = engine_then_reference(instance, fast_pol, T, seed)
-    seq_pol = pspec.build(instance, T)
+    seq_pol = pspecs[0].build(instance, T)
     assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
-    if pspec.kind == "sacb":
-        assert fast_pol.t_sacb == seq_pol.t_sacb
-        assert fast_pol.beta_hat_raw == seq_pol.beta_hat_raw
-        handed = [call.args[0] for call in spy.call_args_list]
-        assert handed == ([seq_pol.handoff.config] if seq_pol.handoff else [])
+    assert fast_pol.t_sacb == seq_pol.t_sacb
+    assert fast_pol.beta_hat_raw == seq_pol.beta_hat_raw
+    handed = [call.args[0] for call in spy.call_args_list]
+    assert handed == ([seq_pol.handoff.config] if seq_pol.handoff else [])

@@ -296,6 +296,23 @@ class TestExperiment:
             run_experiment(spec, policies, 15_000, reps=3, base_seed=12)
         assert draws.call_count == 3
 
+    def test_abse_policies_share_one_leaf_sort_per_task(self):
+        # The table-sweep shape on two replications, one task each: every
+        # task sorts its stream's leaf keys once for all its abse policies,
+        # and SACB's handoff sorts only the steps it hands to ABSE.
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        T = 20_000
+        policies = [PolicySpec("sacb", {"gamma": 0.3, "q": 1.4, "upsilon": 1.5,
+                                        "beta_lo": 0.5, "beta_hi": 1.0})]
+        policies += [PolicySpec("abse", {"beta": b}) for b in (0.9, 0.4, 0.6, 1.0)]
+        with mock.patch.object(fast, "_leaf_keys", wraps=fast._leaf_keys) as sorts:
+            res = run_experiment(spec, policies, T, reps=2, base_seed=12)
+        handed = [T - tr.t_sacb for tr in res[0].traces]
+        assert sorted(len(c.args[0]) for c in sorts.call_args_list) == sorted([T, T] + handed)
+        inst = make_instance(spec, T)
+        for ps, s in zip(policies, res, strict=True):
+            assert s.traces == tuple(run_episode(inst, ps, T, 12, rep=r) for r in range(2))
+
     def test_sacb_audit_fields_aggregated(self):
         res = run_experiment(
             {"kind": "power", "beta": 0.6, "delta": 1.0},
