@@ -36,8 +36,8 @@ import scipy
 
 from . import __version__, _numpy_openblas_threads
 from .errors import BanditLabError, ValidationError
-from .instances import (check_holder, check_margin, check_self_similarity,
-                        make_instance)
+from .instances import (check_holder, check_integer, check_margin,
+                        check_self_similarity, make_instance)
 from .policies import PolicySpec, tuning_defaults
 from .sim import run_experiment
 
@@ -54,15 +54,10 @@ CONFIG_KEYS = ("instance", "policies", "T", "reps", "base_seed", "threads",
 def _integer(value, name: str, problems: list, low: int | None = None):
     """value as an int (at least low), or None after recording a problem."""
     try:
-        # A JSON boolean is an int to Python; float(True).is_integer() holds.
-        if (not isinstance(value, bool) and float(value).is_integer()
-                and (low is None or int(value) >= low)):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    bound = "" if low is None else f" >= {low}"
-    problems.append(f"{name} must be an integer{bound}, got {value!r}")
-    return None
+        return check_integer(value, name, low)
+    except ValueError as e:
+        problems.append(str(e))
+        return None
 
 
 def _huge_integers(value, name: str):
@@ -340,9 +335,9 @@ def run(cfg: dict, out_dir: Path) -> list[dict]:
                     _write_traces(out_dir, chash, cell_idx, label, s.traces)
             manifest.append({"cell": cell_idx, **cell, "status": "done"})
         _write_results(out_dir, rows)
-        (out_dir / "manifest.json").write_text(
-            json.dumps({"completed": manifest, "hash": chash}, indent=2))
-    (out_dir / "run_meta.json").write_text(json.dumps(
+        _write(out_dir / "manifest.json",
+               json.dumps({"completed": manifest, "hash": chash}, indent=2))
+    _write(out_dir / "run_meta.json", json.dumps(
         {"version": __version__, "config_hash": chash, "config": cfg,
          "platform": _run_platform()},
         indent=2, sort_keys=True))
@@ -365,7 +360,20 @@ def _write_results(out_dir: Path, rows: list[dict]) -> None:
     for r in rows:
         lines.append(",".join(fmt(r[c]) for c in RESULTS_HEADER.split(",")))
     lines.append(f"# banditlab {__version__}")
-    (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "results.csv", "\n".join(lines) + "\n")
+
+
+def _write(path: Path, text: str) -> None:
+    """Write text to path whole or not at all: to a sibling temporary file,
+    then renamed over path.  A write that fails removes its temporary file
+    and leaves path as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _file_label(label: str) -> str:
@@ -383,7 +391,7 @@ def _write_traces(out_dir: Path, chash: str, cell_idx: int, label: str, traces):
         for t, cr, ic in tr.checkpoints:
             lines.append(f"{t},{fmt(cr)},{ic}")
         name = f"{chash}-c{cell_idx}-{safe}-rep{tr.rep}.csv"
-        (tdir / name).write_text("\n".join(lines) + "\n")
+        _write(tdir / name, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +443,7 @@ def _svg_chart(curves: dict, path: Path, x_label: str) -> None:
         parts.append(f'<text x="{W-PAD-150}" y="{PAD+14*i}" font-size="11" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    _write(path, "\n".join(parts))
 
 
 def sweep_axis(cells) -> str:
@@ -502,7 +510,7 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path) -> list[Pa
             lines = [f"# banditlab {__version__}", PLOT_HEADER]
             for x, m, lo, hi in sorted(pts):
                 lines.append(f"{fmt(x)},{fmt(m)},{fmt(lo)},{fmt(hi)}")
-            f.write_text("\n".join(lines) + "\n")
+            _write(f, "\n".join(lines) + "\n")
             written.append(f)
         svg = pdir / "sweep.svg"
         _svg_chart(curves, svg, axis)
@@ -528,7 +536,7 @@ def emit_plot_data(rows: list[dict], figure_kind: str, out_dir: Path) -> list[Pa
             "" if r is None else r["relative_loss"] for r in cells))
     for name, lines in (("regret_matrix.csv", matrix), ("relative_loss.csv", rl_rows)):
         written.append(pdir / name)
-        written[-1].write_text("\n".join(lines) + "\n")
+        _write(written[-1], "\n".join(lines) + "\n")
     return written
 
 

@@ -26,13 +26,12 @@ At each depth the nodes of every config are grouped by cell.  Each leaf
 run of a cell gives its arrivals from the cell's earliest start to its
 latest start and the largest 2 * lifetime beyond, and one sort of packed
 (cell << bits) | t keys merges the cells' candidates into time order;
-then each config's nodes are tested at once, as rows.  A node that
-eliminates or commits plays its arm at the steps of its block after its
-last tested arrival: a table per leaf records it, and one pass over the
-keys at the end puts each arm at its time.  So a list costs one sort of n
-keys and, per depth above the deepest, one sort of at most n candidates,
-whatever its length; the per-leaf tables hold 2^(d k0) < 2^d T / ln T
-entries per config.
+then each config's nodes are tested at once, as rows.  A step is played
+by the node that decides it: a node plays the arrivals it tests, and one
+that eliminates or commits plays its arm, at that depth, at the steps of
+its leaf runs after its last tested arrival.  So a list costs one sort of
+n keys and, per depth above the deepest, one sort of at most n
+candidates, whatever its length.
 
 SACB's estimation phase is replayed round by round from a bin-sorted
 index of a stream prefix.  Round r of a bin reads its arrivals cum[r - 1]
@@ -55,8 +54,8 @@ On top of them the ABSE engine holds its packed keys, one depth's cell
 lists (at most n keys; none at the deepest depth, which reads the keys)
 and one int8 array of actions per config it replays; SACB holds its int8
 actions and its binned prefix.  Every other stream-length pass (the draws
-in `rng`, the cell keys, the candidates and the test rows here, the
-scatter of the actions, the regret accounting in `sim`) runs rng.BLOCK
+in `rng`, the cell keys, the candidates, the test rows and the arms a
+terminal node plays here, the regret accounting in `sim`) runs rng.BLOCK
 steps at a time, so its temporaries are that long.
 """
 
@@ -236,15 +235,18 @@ def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
     arrivals of its cell from its start on.  At each depth the live nodes
     of all configs are grouped by cell, each cell's candidates are merged
     by one sort (`_cell_lists`), and each config's nodes are tested at
-    once, as rows (`_test_nodes`).  A node that eliminates, or reaches its
-    lifetime at its config's k0 (committing to the arm with the larger
-    reward sum, arm 1 on a tie, as AbsePolicy does), plays its arm at the
-    steps of its block after its last tested arrival; its ancestors tested
-    every earlier one.  A node that reaches its lifetime above k0 splits
-    into 2^d children that start one step after its last tested arrival.
-    A node whose stream ends inside its lifetime tests all its arrivals.
-    Terminal blocks are disjoint, and the arms they play are scattered by
-    one pass over the keys at the end, from tables of the 2^(d k0) leaves.
+    once, as rows (`_test_nodes`), which plays the arrivals they test.  A
+    node that eliminates, or reaches its lifetime at its config's k0
+    (committing to the arm with the larger reward sum, arm 1 on a tie, as
+    AbsePolicy does), then plays its arm at the untested steps of its
+    block: in each leaf run, those after the key (leaf << bits) | last,
+    last its last tested arrival, for it tested its cell's arrivals from
+    its start through last and its ancestors every earlier one.  The
+    search is above (leaf, last), not at last + 1, whose time bits spill
+    into the leaf bits at last = n - 1.  A node that reaches its lifetime
+    above k0 splits into 2^d children that start at last + 1.  A node
+    whose stream ends inside its lifetime tests all its arrivals.  A
+    config's terminal blocks are disjoint, so each step is played once.
     """
     n, d = X.shape
     k0 = [max_depth(cfg) for cfg in cfgs]
@@ -252,13 +254,9 @@ def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
     keys, bits = _leaf_keys(X, deepest)
     dtype = keys.dtype
     mask = dtype.type((1 << bits) - 1)
-    n_leaves = 1 << (d * deepest)
-    run_end = np.searchsorted(keys, np.arange(n_leaves, dtype=dtype) << dtype.type(bits)
-                              | mask, side="right")
+    run_end = np.searchsorted(keys, np.arange(1 << (d * deepest), dtype=dtype)
+                              << dtype.type(bits) | mask, side="right")
     actions = [np.zeros(n, dtype=np.int8) for _ in cfgs]
-    # Per config and leaf: the arm its terminal node plays, from which step.
-    fill_from = np.full((len(cfgs), n_leaves), n, dtype=np.int64)
-    fill_arm = np.zeros((len(cfgs), n_leaves), dtype=np.int8)
     cells = [np.zeros(1, dtype=np.int64) for _ in cfgs]    # live nodes
     starts = [np.zeros(1, dtype=np.int64) for _ in cfgs]
     for depth in range(deepest + 1):
@@ -284,18 +282,16 @@ def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
             lived = ~fired & (length == need[j])
             ends = fired | lived & (depth == k0[j])
             leaves = _subcells(cells[j][ends], shift)
-            fill_from[j, leaves] = np.repeat(last[ends] + 1, 1 << shift)
-            fill_arm[j, leaves] = np.repeat(np.where(gap[ends] >= 0, 1, 2), 1 << shift)
+            lo = np.searchsorted(keys, leaves.astype(dtype) << dtype.type(bits)
+                                 | np.repeat(last[ends], 1 << shift).astype(dtype),
+                                 side="right")
+            arm = np.repeat(np.where(gap[ends] >= 0, 1, 2), 1 << shift)
+            for a in (1, 2):
+                for pos in _ranges(lo[arm == a], (run_end[leaves] - lo)[arm == a]):
+                    actions[j][keys[pos] & mask] = a
             split = lived & (depth < k0[j])
             cells[j] = _subcells(cells[j][split], d)
             starts[j] = np.repeat(last[split] + 1, 1 << d)
-    for start in range(0, n, rng.BLOCK):
-        block = keys[start:start + rng.BLOCK]
-        leaf = (block >> dtype.type(bits)).astype(np.intp)
-        t = (block & mask).astype(np.intp)
-        for acts, after, arm in zip(actions, fill_from, fill_arm):
-            rest = t >= after[leaf]
-            acts[t[rest]] = arm[leaf[rest]]
     return actions
 
 

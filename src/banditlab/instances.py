@@ -33,6 +33,22 @@ def check_noise(noise) -> tuple:
                      "with sigma > 0 finite, or ['bernoulli']")
 
 
+def check_integer(value, name: str, low: int | None = None) -> int:
+    """value as an int (at least low); else a ValueError that names it.
+
+    An integral float such as 2.0 is its int; a bool is not an integer,
+    though it is an int to Python and float(True).is_integer() holds.
+    """
+    try:
+        if (not isinstance(value, bool) and float(value).is_integer()
+                and (low is None or int(value) >= low)):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if low is None else f" >= {low}"
+    raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Two-armed contextual bandit instance on [0,1]^d.
@@ -163,8 +179,8 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
     # Bumps j with (j + 1)/M <= 1 keep their support inside (1/2, 1), which
     # is what keeps f1 continuous at 1/2; the nominal count M^(1-alpha*beta)
     # can exceed that by one for alpha near 0.
-    m = int(ov.get("m", min(math.floor(M ** (1.0 - alpha * beta)),
-                            math.floor(M - 1.0))))
+    m = (check_integer(ov["m"], "overrides.m") if "m" in ov
+         else min(math.floor(M ** (1.0 - alpha * beta)), math.floor(M - 1.0)))
     if m < 1:
         raise DegenerateBumpsError(f"bump count m={m} < 1 for M={M:.4g}")
 
@@ -422,15 +438,15 @@ def make_instance(spec: dict, T: int) -> ProblemInstance:
             float(spec.pop("alpha")),
             float(spec.pop("delta")),
             spec.pop("variant", "at-most-lipschitz"),
-            d=int(spec.pop("d", 1)),
+            d=check_integer(spec.pop("d", 1), "d"),
         )
-        member = int(spec.pop("member", 0))
+        member = check_integer(spec.pop("member", 0), "member")
         if not (0 <= member < len(family)):
             raise ValueError(f"member {member} outside family of {len(family)}")
         inst = family[member]
     elif kind == "example1":
         inst = make_example1_family(beta, float(spec.pop("tilde_beta")), T,
-                                    int(spec.pop("part", 1)))
+                                    check_integer(spec.pop("part", 1), "part"))
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
     if spec:

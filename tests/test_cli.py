@@ -225,6 +225,26 @@ class TestRun:
         out = Path(json.loads(p.read_text())["output_dir"])
         assert (out / "results.csv").exists() and (out / "manifest.json").exists()
 
+    # Output files were written in place, so a run that failed while
+    # writing left them half written.
+    def test_failed_rename_keeps_the_previous_results(self, tmp_path, monkeypatch):
+        p = small_config(tmp_path, T=5_000)
+        assert main(["run", "--config", str(p)]) == 0
+        out = Path(json.loads(p.read_text())["output_dir"])
+        before = (out / "results.csv").read_bytes()
+        replace = os.replace
+
+        def results_rename_fails(src, dst):
+            if Path(dst).name == "results.csv":
+                raise OSError("rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", results_rename_fails)
+        assert main(["run", "--config", str(p), "--seed", "7"]) == 3
+        assert (out / "results.csv").read_bytes() == before
+        assert sorted(f.name for f in out.iterdir()) == [
+            "manifest.json", "results.csv", "run_meta.json"]
+
     def test_bad_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"instance": {"kind": "nope"},
@@ -416,6 +436,19 @@ class TestRun:
             "policies": [{"kind": "abse", "beta": 0.5}]},
            rf"^instance\.{key} is an integer too large for a float$")
           for key in ("gamma", "d")],
+        # Integer instance fields were truncated by int(): d 2.5 ran as d 2.
+        *[({"instance": {**LOWER_BOUND_INSTANCE, key: value},
+            "policies": [{"kind": "abse", "beta": 0.5}]},
+           rf"^instance: {key} must be an integer, got {value!r}$")
+          for key, value in (("d", 2.5), ("member", 1.5), ("d", True))],
+        ({"instance": {"kind": "example1", "beta": 0.5, "tilde_beta": 0.8,
+                       "part": 1.9},
+          "policies": [{"kind": "abse", "beta": 0.5}]},
+         r"^instance: part must be an integer, got 1\.9$"),
+        *[({"instance": {"kind": "setting1", "beta": 0.9,
+                         "overrides": {"M": 8.0, "m": value}}},
+           rf"^instance: overrides\.m must be an integer, got {value!r}$")
+          for value in (2.5, True)],
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
@@ -430,7 +463,10 @@ class TestRun:
             "sweep-beta-string", "instance-beta-string", "sweep-key",
             "huge-instance-beta", "huge-sweep-beta", "huge-power-delta",
             "huge-override", "huge-abse-c0", "huge-sacb-gamma",
-            "huge-noise-sigma", "huge-lower-bound-gamma", "huge-lower-bound-d"])
+            "huge-noise-sigma", "huge-lower-bound-gamma", "huge-lower-bound-d",
+            "lower-bound-fractional-d", "lower-bound-fractional-member",
+            "lower-bound-bool-d", "example1-fractional-part",
+            "fractional-override-m", "bool-override-m"])
     def test_horizon_and_integer_errors_exit_2_before_writing(
             self, tmp_path, monkeypatch, over, match):
         p = small_config(tmp_path, **over)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from banditlab import fast, rng
-from banditlab.abse import AbseConfig, AbsePolicy, max_depth
+from banditlab.abse import AbseConfig, AbsePolicy, lifetime, max_depth
 from banditlab.instances import make_instance, make_power_payoff
 from banditlab.partition import cells_per_axis, sacb_levels
 from banditlab.policies import PolicySpec
@@ -197,6 +197,53 @@ def test_abse_engine_on_cell_edges(d, monkeypatch):
     # cfg reads each of its cells as a block of those leaves.
     deep = AbseConfig(beta=0.2, T=T, d=d, c0=4.0, gamma_abse=0.5)
     assert max_depth(deep) > k0
+    a_deep = sequential_actions(AbsePolicy(deep), X, Y)
+    for block in (rng.BLOCK, 7):
+        monkeypatch.setattr(rng, "BLOCK", block)
+        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        assert np.array_equal(fast.abse_actions(cfg, X, rewards), a_seq)
+        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        group = fast.abse_group_actions([deep, cfg], X, rewards)
+        assert np.array_equal(group[0], a_deep)
+        assert np.array_equal(group[1], a_seq)
+
+
+def test_abse_fill_after_the_last_step(monkeypatch):
+    """A node that commits at step n - 1 = 2^12 - 1, whose key has every
+    time bit set, and a node that eliminates with the rest of its block to
+    fill.
+
+    Every left-half arrival sits at one point x, in the odd depth-k0 cell 1
+    and in an odd leaf of a deeper tree; both arms pay 1 there, so cfg's
+    nodes on that track split at their lifetimes and its depth-k0 node
+    commits to arm 1 on the last step.  On the right half arm 2 pays 1 and
+    arm 1 pays 0, so a depth-1 node eliminates arm 1 and arm 2 fills the
+    rest of the stream there.  The fill searches each leaf run after a
+    node's last tested arrival: a search at last + 1 would spill into the
+    leaf bits here, and one that starts at the run's start, or includes
+    the last tested arrival, would overwrite tested arrivals.
+    """
+    n = 2 ** 12
+    cfg = AbseConfig(beta=0.5, T=n, c0=2.0, gamma_abse=0.25)
+    deep = AbseConfig(beta=0.2, T=n, c0=4.0, gamma_abse=0.5)
+    k0, shift = max_depth(cfg), max_depth(deep) - max_depth(cfg)
+    assert shift > 0
+    x = (2 ** shift + 1.5) / 2 ** max_depth(deep)
+    root, track = (2 * sum(lifetime(cfg, k) for k in range(stop))
+                   for stop in (1, k0 + 1))
+    g = np.random.default_rng(5)
+    on_track = np.zeros(n, dtype=bool)
+    on_track[:root] = on_track[-1] = True
+    on_track[g.choice(np.arange(root, n - 1), track - root - 1, replace=False)] = True
+    X = np.where(on_track, x, 0.5 + 0.5 * g.random(n))[:, None]
+    mean = np.where(X < 0.5, [1.0, 1.0], [0.0, 1.0])
+    U = g.random((n, 2))
+    Y = (U < mean).astype(np.float64)
+    seq_pol, before = AbsePolicy(cfg), AbsePolicy(cfg)
+    a_seq = sequential_actions(seq_pol, X, Y)
+    sequential_actions(before, X[:-1], Y[:-1])
+    assert not before.bins[k0, (1,)].committed and seq_pol.bins[k0, (1,)].committed == 1
+    assert seq_pol.bins[1, (1,)].committed == 2
     a_deep = sequential_actions(AbsePolicy(deep), X, Y)
     for block in (rng.BLOCK, 7):
         monkeypatch.setattr(rng, "BLOCK", block)

@@ -428,6 +428,19 @@ POWER = make_power_payoff(0.6, 1.0)
     (lambda: make_instance(dict(LB, beta=1.0, gamma=1.5, member=2,
                                 variant="at-least-lipschitz"), 100_000),
      ValueError, "member 2 outside family of 2"),
+    # int() truncated these: d 2.5 built a d = 2 family.
+    *[(lambda spec=spec: make_instance(spec, 100_000), ValueError, match)
+      for spec, match in [
+          (dict(LB, beta=0.5, gamma=0.9, d=2.5), r"^d must be an integer, got 2\.5$"),
+          (dict(LB, beta=0.5, gamma=0.9, member=1.5),
+           r"^member must be an integer, got 1\.5$"),
+          (dict(LB, beta=0.5, gamma=0.9, d=True), r"^d must be an integer, got True$"),
+          ({"kind": "example1", "beta": 0.5, "tilde_beta": 0.8, "part": 1.9},
+           r"^part must be an integer, got 1\.9$"),
+          ({"kind": "setting1", "beta": 0.9, "overrides": {"m": 2.5}},
+           r"^overrides\.m must be an integer, got 2\.5$"),
+          ({"kind": "setting1", "beta": 0.9, "overrides": {"m": True}},
+           r"^overrides\.m must be an integer, got True$")]],
     (lambda: check_holder(POWER, 2.5, 1.0), NotImplementedError, "beta <= 2"),
     (lambda: check_margin(POWER, 1.0, 1.0, delta_grid=[0.0, 0.5]), ValueError,
      r"delta grid must lie in \(0, 1\]"),
@@ -444,13 +457,28 @@ POWER = make_power_payoff(0.6, 1.0)
      InvalidRegimeError, "unknown regime 'sideways'"),
 ], ids=["bump-beta", "power-beta", "power-delta", "lower-bound-regime",
         "lower-bound-no-alternative", "lower-bound-gamma", "lower-bound-variant",
-        "example1-part", "member-range", "holder-beta", "margin-delta-grid",
+        "example1-part", "member-range", "lower-bound-fractional-d",
+        "lower-bound-fractional-member", "lower-bound-bool-d",
+        "example1-fractional-part", "setting1-fractional-m", "setting1-bool-m",
+        "holder-beta", "margin-delta-grid",
         "self-similarity-levels", "self-similarity-degree", "minimax-beta",
         "impossibility-alpha-at-most", "impossibility-alpha-at-least",
         "impossibility-regime"])
 def test_rejects_bad_arguments(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_integral_floats_are_integers():
+    # As a config's T or reps: 2.0 is 2.
+    assert make_instance(dict(LB, beta=0.5, gamma=0.9, d=2.0, member=1.0),
+                         100_000).d == 2
+    m = make_instance({"kind": "setting1", "beta": 0.9, "overrides": {"m": 2.0}},
+                      200_000).meta["m"]
+    assert m == 2 and type(m) is int
+    spec = {"kind": "example1", "beta": 0.5, "tilde_beta": 0.8}
+    assert (make_instance({**spec, "part": 2.0}, 100_000).meta
+            == make_instance({**spec, "part": 2}, 100_000).meta)
 
 
 class TestPointConvention:
