@@ -45,11 +45,12 @@ of which ends its estimation, so t_sacb lies inside the prefix and every
 later step is ABSE's.
 
 The engines read rewards only through `sim.Rewards`, which makes each
-(t, arm) entry on its first read; an episode pays for the rewards its
-tests use, not for the whole (T, 2) table.
+(t, arm) entry, and its payoff, on its first read; an episode pays for
+the rewards its tests use, not for the whole (T, 2) table.
 
-Memory.  An episode holds its streams: X, the (T, 2) payoffs, the (2, T)
-uniforms that become rewards and their done masks, 34 + 8 d bytes a step.
+Memory.  An episode holds its streams: X, the (T,) payoff gaps F0 - F1,
+the (2, T) uniforms that become rewards and their done masks, 26 + 8 d
+bytes a step.
 On top of them the ABSE engine holds its packed keys, one depth's cell
 lists (at most n keys; none at the deepest depth, which reads the keys)
 and one int8 array of actions per config it replays; SACB holds its int8
@@ -377,16 +378,17 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     return actions
 
 
-def run_fast(policy, X: np.ndarray, rewards, F: np.ndarray) -> np.ndarray:
+def run_fast(policy, X: np.ndarray, rewards, gap: np.ndarray) -> np.ndarray:
     """Actions of a policy built by PolicySpec.build, on its engine.
 
-    rewards is the `sim.Rewards` of the same n steps.  F holds the payoffs
-    at X, shape (n, 2); only the oracle reads it.
+    rewards is the `sim.Rewards` of the same n steps.  gap holds the
+    payoff gaps F0 - F1 at X, shape (n,); only the oracle reads it, and
+    gap < 0 is its test F1 > F0, for a - b < 0 exactly when a < b.
     """
     if isinstance(policy, FixedArmPolicy):
         return np.full(len(X), policy.arm, dtype=np.int8)
     if isinstance(policy, OraclePolicy):
-        return np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)
+        return np.where(gap < 0, 2, 1).astype(np.int8)
     if isinstance(policy, AbsePolicy):
         return abse_actions(policy.config, X, rewards)
     return sacb_actions(policy, X, rewards)

@@ -67,9 +67,18 @@ class ProblemInstance:
     f2: object
     noise: tuple
     meta: dict = field(default_factory=dict)
+    both: object = None     # (n, 2) payoffs, where the arms share work
 
-    def payoffs(self, x):
-        """Stacked payoffs, shape (n, 2), at (n, d) points (or n points when d = 1)."""
+    def payoffs(self, x, arm: int | None = None):
+        """Stacked payoffs, shape (n, 2), at (n, d) points (or n points when
+        d = 1); or the (n,) payoffs of arm 0 (f1) or 1 (f2) alone.
+
+        Each column has the bits of its arm's function at the same points.
+        """
+        if arm is not None:
+            return (self.f1, self.f2)[arm](x)
+        if self.both is not None:
+            return self.both(x)
         return np.column_stack([self.f1(x), self.f2(x)])
 
 
@@ -86,8 +95,9 @@ class PropertyReport:
     margin_of_violation: float
 
 
-def _instance(name, d, g1, g2, noise, meta) -> ProblemInstance:
-    """Instance whose arms g1, g2 are written on (n, d) arrays of points."""
+def _instance(name, d, g1, g2, noise, meta, both=None) -> ProblemInstance:
+    """Instance whose arms g1, g2, and both arms at once if given, are
+    written on (n, d) arrays of points."""
 
     def arm(g):
         def f(x):
@@ -96,7 +106,11 @@ def _instance(name, d, g1, g2, noise, meta) -> ProblemInstance:
             return float(out[0]) if x.ndim == 0 else out
         return f
 
-    return ProblemInstance(name, d, arm(g1), arm(g2), noise, meta)
+    def pair(x):
+        return both(np.asarray(x, dtype=float).reshape(-1, d))
+
+    return ProblemInstance(name, d, arm(g1), arm(g2), noise, meta,
+                           None if both is None else pair)
 
 
 def _constant(value: float):
@@ -121,10 +135,27 @@ def bump(x, beta: float):
 
 
 def _bump_field(u, amp, scale, centers, signs, beta):
-    """1/2 + amp * sum_j s_j bump(scale (u - a_j)), summed in the order of j."""
+    """1/2 + amp * sum_j s_j bump(scale (u - a_j)), summed in the order of j.
+
+    The centers a_j are ascending and equally spaced.  Each point adds only
+    the terms of the centers within a support half-width 1/scale of it,
+    widened by 0.1% so that rounding in finding them loses none, in the
+    order of j: every other term is +-0.0, which leaves a sum unchanged but
+    for the sign of a zero, and 0.5 + amp * total erases that.  Supports
+    that overlap (by rounding, or by design) give a point several such
+    centers; the k-th of each point's is added in pass k.
+    """
+    m, reach = len(centers), 1.001 / scale
+    per = (m - 1) / (centers[-1] - centers[0]) if m > 1 else 1.0
+    first = np.clip(np.ceil((u - reach - centers[0]) * per), 0, m)
+    last = np.clip(np.floor((u + reach - centers[0]) * per), -1, m - 1)
+    count = np.fmax(last - first + 1.0, 0.0)       # 0 at a NaN
     total = np.zeros_like(u)
-    for aj, sj in zip(centers, signs):
-        total += sj * bump(scale * (u - aj), beta)
+    for k in range(int(count.max(initial=0))):
+        at = np.flatnonzero(count > k)
+        j = first[at].astype(np.intp) + k
+        y = np.abs(scale * (u[at] - centers[j]))
+        total[at] += signs[j] * np.fmax(1.0 - y, 0.0) ** beta
     return 0.5 + amp * total
 
 
@@ -189,23 +220,19 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
     signs = (-1.0) ** np.arange(1, m + 1)
     half = 0.5 * (1.0 + L1 * 0.5 ** beta)
 
-    def left(x):
-        """The shared branch on x <= 1/2, and the mask of the other points."""
-        lo = x <= 0.5
-        out = np.empty_like(x)
-        out[lo] = half - 0.5 * L1 * x[lo] ** beta
-        return out, ~lo
-
-    def f1(pts):
+    def arms(pts, which):
+        """Columns of the arms which (0: f1, 1: f2): the shared branch on
+        x <= 1/2, evaluated once, and each arm's own on the other points."""
         x = pts[:, 0]
-        out, hi = left(x)
-        out[hi] = _bump_field(2.0 - 2.0 * x[hi], amp, 2.0 * M, a, signs, beta)
-        return out
-
-    def f2(pts):
-        out, hi = left(pts[:, 0])
-        out[hi] = 0.5
-        return out
+        lo = x <= 0.5
+        left, right = np.flatnonzero(lo), np.flatnonzero(~lo)
+        shared = half - 0.5 * L1 * x[left] ** beta
+        out = np.empty((len(which), len(x)))        # arm-major
+        for row, arm in zip(out, which):
+            row[left] = shared
+            row[right] = 0.5 if arm else _bump_field(
+                2.0 - 2.0 * x[right], amp, 2.0 * M, a, signs, beta)
+        return out.T
 
     # Margin constant: within each bump the mass where 0 < gap <= delta is
     # (delta/amp)^(1/beta) of the bump width; maximized at delta = amp.
@@ -220,7 +247,9 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
         "C0": C0, "M": M, "m": m, "amplitude": amp, "bump_centers": a,
         "sigma": noise[1], "tau": tau, "C": C, "L1": L1, **extra,
     }
-    return _instance(name, 1, f1, f2, noise, meta)
+    return _instance(name, 1, lambda pts: arms(pts, (0,))[:, 0],
+                     lambda pts: arms(pts, (1,))[:, 0], noise, meta,
+                     both=lambda pts: arms(pts, (0, 1)))
 
 
 def make_setting_one(beta: float, T: int, overrides: dict | None = None) -> ProblemInstance:

@@ -65,15 +65,16 @@ def open_uniforms(gen: np.random.Generator, n: int, out=None) -> np.ndarray:
 
     Integers in [1, 2^53) scaled by 2^-53, written into out if given (a
     float64 array of n entries).  Both steps are exact: int64 -> float64
-    below 2^53 and division by a power of two.  They are drawn BLOCK at a
-    time, the same variates as one call of n (module docstring).
+    below 2^53 and scaling by a power of two, so multiplying by 2^-53 gives
+    the bits of dividing by 2^53, at about half the cost.  They are drawn
+    BLOCK at a time, the same variates as one call of n (module docstring).
     """
     if out is None:
         out = np.empty(n)
     for start in range(0, n, BLOCK):
         stop = min(n, start + BLOCK)
-        np.divide(gen.integers(1, 1 << 53, size=stop - start), float(1 << 53),
-                  out=out[start:stop])
+        np.multiply(gen.integers(1, 1 << 53, size=stop - start), 2.0 ** -53,
+                    out=out[start:stop])
     return out
 
 

@@ -2,14 +2,15 @@
 
 Episodes are pure functions of (instance, policy spec, T, seed, rep):
 covariates and per-(t, arm) noise uniforms are pre-drawn from
-counter-based streams (see rng.py), and each reward is made from its
-uniform on first read (`Rewards`), so replaying a configuration is
-bit-exact and two policies compared at the same (seed, rep) see identical
-covariates and identical counterfactual rewards (paired comparisons /
-common random numbers).  Every episode runs on the vectorized engine of
-its policy (`fast.run_fast`), and the abse policies of one task are
-replayed together (`fast.abse_group_actions`); the sequential policies are
-the reference those engines are tested against.
+counter-based streams (see rng.py), with the payoff gap F0 - F1 that the
+regret accounting reads, and each reward is made from its uniform and
+its covariate's payoff on first read (`Rewards`), so replaying a
+configuration is bit-exact and two policies compared at the same
+(seed, rep) see identical covariates and identical counterfactual rewards
+(paired comparisons / common random numbers).  Every episode runs on the
+vectorized engine of its policy (`fast.run_fast`), and the abse policies
+of one task are replayed together (`fast.abse_group_actions`); the
+sequential policies are the reference those engines are tested against.
 """
 
 from __future__ import annotations
@@ -56,51 +57,59 @@ class ExperimentSummary:
 class Rewards:
     """Both arms' rewards at every step, each made on its first read.
 
-    u holds the pre-drawn noise uniforms arm-major, shape (2, T), and is
-    owned by this object.  The first read of entry (arm, t) overwrites
-    u[arm, t] with the reward, F[t, arm] + sigma * ndtri(u) under Gaussian
-    noise or 1{u < F[t, arm]} under Bernoulli noise, and marks it done;
-    later reads, by any policy of the replication, return that value.  A
-    reward thus depends only on its uniform and payoff, never on which
-    policy read it first, and entries nobody reads are never made.
+    X holds the covariates, shape (T, d), and u the pre-drawn noise
+    uniforms arm-major, shape (2, T), which this object owns.  The first
+    read of entry (arm, t) computes the payoff F[t, arm] at X[t], through
+    `ProblemInstance.payoffs`, and overwrites u[arm, t] with the reward,
+    F[t, arm] + sigma * ndtri(u) under Gaussian noise or 1{u < F[t, arm]}
+    under Bernoulli noise, and marks it done; later reads, by any policy
+    of the replication, return that value.  The payoff functions act on
+    each point alone, so a payoff made on read has the bits of one made
+    over the whole stream.  A reward thus depends only on its uniform and
+    payoff, never on which policy read it first, and entries nobody reads
+    are never made, nor are their payoffs.  `draw_streams` checks that
+    Bernoulli payoffs lie in [0, 1].
     """
 
-    def __init__(self, F: np.ndarray, u: np.ndarray, noise: tuple):
-        if check_noise(noise)[0] == "bernoulli":
-            lo, hi = float(np.min(F)), float(np.max(F))
-            if lo < -1e-12 or hi > 1.0 + 1e-12:
-                raise ValueError(
-                    f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
+    def __init__(self, X: np.ndarray, u: np.ndarray, instance: ProblemInstance):
+        noise = check_noise(instance.noise)
         self.sigma = noise[1] if noise[0] == "gaussian" else None
-        # Per arm: its uniforms (then rewards), done mask and payoffs.
-        self._arms = tuple(zip(u, np.zeros(u.shape, dtype=bool), F.T))
+        self._instance = instance
+        self._X = X
+        # Per arm: its uniforms (then rewards) and done mask.
+        self._arms = tuple(zip(u, np.zeros(u.shape, dtype=bool)))
 
     def read(self, arm: int, rows: np.ndarray) -> np.ndarray:
         """Rewards of arm (0 or 1) at the steps rows, an integer array."""
-        u, done, f = self._arms[arm]
+        u, done = self._arms[arm]
         seen = done[rows]
         if np.count_nonzero(seen) < len(rows):
             new = rows[~seen]
+            f = self._instance.payoffs(self._X.take(new, axis=0), arm)
             if self.sigma is None:
-                u[new] = (u[new] < f[new]).astype(np.float64)
+                u[new] = (u.take(new) < f).astype(np.float64)
             else:
-                u[new] = f[new] + self.sigma * rng.gaussian_from_uniform(u[new])
+                u[new] = f + self.sigma * rng.gaussian_from_uniform(u.take(new))
             done[new] = True
-        return u[rows]
+        return u.take(rows)
 
     def tail(self, start: int) -> "Rewards":
         """The rewards of steps start, start + 1, ..., sharing these entries."""
         view = copy.copy(self)
-        view._arms = tuple((u[start:], done[start:], f[start:])
-                          for u, done, f in self._arms)
+        view._X = self._X[start:]
+        view._arms = tuple((u[start:], done[start:]) for u, done in self._arms)
         return view
 
 
 class Streams(NamedTuple):
-    """One replication's draws, shared by every policy run on it."""
+    """One replication's draws, shared by every policy run on it.
+
+    No payoff table is kept: the regret accounting and the oracle read the
+    gap, and `Rewards` makes each payoff it needs from X.
+    """
 
     X: np.ndarray           # covariates, (T, d)
-    F: np.ndarray           # payoffs at X, (T, 2)
+    gap: np.ndarray         # F[:, 0] - F[:, 1], the payoffs at X, (T,)
     rewards: Rewards
 
 
@@ -109,14 +118,24 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int,
     """Streams of replication (seed, rep).
 
     Every policy run on that replication reads these same arrays and
-    rewards.
+    rewards.  The payoffs are evaluated rng.BLOCK points at a time, for
+    the gap and, under Bernoulli noise, to check that they lie in [0, 1].
     """
+    bernoulli = check_noise(instance.noise)[0] == "bernoulli"
     X = rng.covariate_block(seed, rep, T, instance.d)
-    F = instance.payoffs(X)
+    gap = np.empty(T)
+    for start in range(0, T, rng.BLOCK):
+        F = instance.payoffs(X[start:start + rng.BLOCK])
+        if bernoulli:
+            lo, hi = float(np.min(F)), float(np.max(F))
+            if lo < -1e-12 or hi > 1.0 + 1e-12:
+                raise ValueError(
+                    f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
+        np.subtract(F[:, 0], F[:, 1], out=gap[start:start + len(F)])
     u = np.empty((2, T))
     for arm in (1, 2):
         rng.noise_uniform_block(seed, rep, T, arm, out=u[arm - 1])
-    return Streams(X, F, Rewards(F, u, instance.noise))
+    return Streams(X, gap, Rewards(X, u, instance))
 
 
 def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
@@ -127,31 +146,34 @@ def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
     The episode runs on the vectorized engine of the policy the spec
     builds.  streams, if given, is draw_streams(instance, T, seed, rep),
     drawn once and shared by the policies of a replication; the arrays are
-    only read, and the rewards only made.  actions, if given, are the
-    actions of an abse spec already replayed on streams, with the other
-    abse specs of its replication (`fast.abse_group_actions`); the episode
-    then only accounts for them.
+    only read, and the rewards only made; streams of another length are a
+    ValueError.  actions, if given, are the actions of an abse spec already
+    replayed on streams, with the other abse specs of its replication
+    (`fast.abse_group_actions`); the episode then only accounts for them.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
-    X, F, rewards = streams or draw_streams(instance, T, seed, rep)
+    X, gap, rewards = streams or draw_streams(instance, T, seed, rep)
+    if len(gap) != T:
+        raise ValueError(f"streams hold {len(gap)} steps, but the horizon is {T}")
     policy = None
     if actions is None:
         policy = policy_spec.build(instance, T)
-        actions = fast.run_fast(policy, X, rewards, F)
+        actions = fast.run_fast(policy, X, rewards, gap)
 
     # A step is inferior iff the other arm pays strictly more.  Its regret,
-    # best - chosen, is then |F0 - F1| bit for bit, and +0.0 otherwise.
-    # The sums run over the inferior steps t alone: a skipped +0.0 term
-    # leaves the non-negative running sum's bits unchanged (x + 0.0 == x),
-    # and the inferior count at step m is the number of t <= m.  The steps
-    # and their gaps are found rng.BLOCK steps at a time; one cumsum over
-    # all the gaps then adds the same terms in the same order.
+    # best - chosen, is then |gap| = |F0 - F1| bit for bit, and +0.0
+    # otherwise.  The sums run over the inferior steps t alone: a skipped
+    # +0.0 term leaves the non-negative running sum's bits unchanged
+    # (x + 0.0 == x), and the inferior count at step m is the number of
+    # t <= m.  The steps and their gaps are found rng.BLOCK steps at a
+    # time; one cumsum over all the gaps then adds the same terms in the
+    # same order.
     steps, gaps = [], []
     for start in range(0, T, rng.BLOCK):
         block = slice(start, start + rng.BLOCK)
-        diff = F[block, 0] - F[block, 1]
+        diff = gap[block]
         inferior = (diff < 0) == (actions[block] == 1)
         inferior &= diff != 0
         t = np.flatnonzero(inferior)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from banditlab import fast, rng
 from banditlab.abse import AbseConfig, AbsePolicy, lifetime, max_depth
-from banditlab.instances import make_instance, make_power_payoff
+from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
 from banditlab.partition import cells_per_axis, sacb_levels
 from banditlab.policies import PolicySpec
 import banditlab.sim as sim
@@ -29,6 +29,14 @@ def dense_rewards(rewards, T):
     return np.column_stack([rewards.read(arm, rows) for arm in (0, 1)])
 
 
+def table_rewards(F, u, noise):
+    """Rewards whose payoffs at step t are F[t], a stored (T, 2) table."""
+    def arm(a):
+        return lambda steps: F[steps[:, 0].astype(np.intp), a]
+    steps = np.arange(len(F), dtype=np.float64)[:, None]
+    return sim.Rewards(steps, u, ProblemInstance("table", 1, arm(0), arm(1), noise))
+
+
 def engine_then_reference(instance, policy, T, seed):
     """Engine actions on freshly drawn, unread rewards, then the dense Y.
 
@@ -36,8 +44,8 @@ def engine_then_reference(instance, policy, T, seed):
     Y comes from a second draw read in one pass, and every entry the engine
     made must equal it.
     """
-    X, F, rewards = sim.draw_streams(instance, T, seed)
-    actions = fast.run_fast(policy, X, rewards, F)
+    X, gap, rewards = sim.draw_streams(instance, T, seed)
+    actions = fast.run_fast(policy, X, rewards, gap)
     Y = dense_rewards(sim.draw_streams(instance, T, seed).rewards, T)
     assert np.array_equal(dense_rewards(rewards, T), Y)
     return X, Y, actions
@@ -200,9 +208,9 @@ def test_abse_engine_on_cell_edges(d, monkeypatch):
     a_deep = sequential_actions(AbsePolicy(deep), X, Y)
     for block in (rng.BLOCK, 7):
         monkeypatch.setattr(rng, "BLOCK", block)
-        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        rewards = table_rewards(mean, U.T.copy(), ("bernoulli",))
         assert np.array_equal(fast.abse_actions(cfg, X, rewards), a_seq)
-        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        rewards = table_rewards(mean, U.T.copy(), ("bernoulli",))
         group = fast.abse_group_actions([deep, cfg], X, rewards)
         assert np.array_equal(group[0], a_deep)
         assert np.array_equal(group[1], a_seq)
@@ -247,9 +255,9 @@ def test_abse_fill_after_the_last_step(monkeypatch):
     a_deep = sequential_actions(AbsePolicy(deep), X, Y)
     for block in (rng.BLOCK, 7):
         monkeypatch.setattr(rng, "BLOCK", block)
-        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        rewards = table_rewards(mean, U.T.copy(), ("bernoulli",))
         assert np.array_equal(fast.abse_actions(cfg, X, rewards), a_seq)
-        rewards = sim.Rewards(mean, U.T.copy(), ("bernoulli",))
+        rewards = table_rewards(mean, U.T.copy(), ("bernoulli",))
         group = fast.abse_group_actions([deep, cfg], X, rewards)
         assert np.array_equal(group[0], a_deep)
         assert np.array_equal(group[1], a_seq)
@@ -311,7 +319,6 @@ def sacb_engine_against_sequential(pspec, T, X, u):
     handed to ABSE (None when it did not hand off).
     """
     instance = make_power_payoff(0.6, 1.0)
-    F = instance.payoffs(X)
     fast_pol = pspec.build(instance, T)
     binned, handed = [], []
     cell_coords, abse_actions = fast.cell_coords, fast.abse_actions
@@ -327,8 +334,8 @@ def sacb_engine_against_sequential(pspec, T, X, u):
 
     with mock.patch.object(fast, "cell_coords", spy_cell_coords), \
             mock.patch.object(fast, "abse_actions", spy_abse_actions):
-        a_fast = fast.sacb_actions(fast_pol, X, sim.Rewards(F, u.copy(), instance.noise))
-    Y = dense_rewards(sim.Rewards(F, u.copy(), instance.noise), len(X))
+        a_fast = fast.sacb_actions(fast_pol, X, sim.Rewards(X, u.copy(), instance))
+    Y = dense_rewards(sim.Rewards(X, u.copy(), instance), len(X))
     seq_pol = pspec.build(instance, T)
     assert np.array_equal(a_fast, sequential_actions(seq_pol, X, Y))
     assert fast_pol.t_sacb == seq_pol.t_sacb
@@ -414,8 +421,9 @@ def test_run_episode_paths_agree():
                               "overrides": {"M": 8.0}}, T)
     pspec = PolicySpec("abse", {"beta": 0.8, "gamma_abse": 2.0})
     trace = sim.run_episode(instance, pspec, T, seed)
-    X, F, rewards = sim.draw_streams(instance, T, seed)
+    X, _, rewards = sim.draw_streams(instance, T, seed)
     actions = sequential_actions(pspec.build(instance, T), X, dense_rewards(rewards, T))
+    F = instance.payoffs(X)
     chosen = F[np.arange(T), actions - 1]
     best = F.max(axis=1)
     assert trace.final_regret == pytest.approx(np.sum(best - chosen), rel=1e-12)
@@ -490,10 +498,10 @@ def test_group_on_skewed_covariates(seed):
                 for b in range(3, 11)]
     g = np.random.default_rng(seed)
     X = g.random((T, 1)) ** 4
-    F, u = instance.payoffs(X), g.random((2, T))
+    u = g.random((2, T))
     group = fast.abse_group_actions([p.config for p in policies], X,
-                                    sim.Rewards(F, u.copy(), instance.noise))
-    Y = dense_rewards(sim.Rewards(F, u.copy(), instance.noise), T)
+                                    sim.Rewards(X, u.copy(), instance))
+    Y = dense_rewards(sim.Rewards(X, u.copy(), instance), T)
     for policy, actions in zip(policies, group, strict=True):
         assert np.array_equal(actions, sequential_actions(policy, X, Y))
 

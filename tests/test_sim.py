@@ -9,8 +9,8 @@ from scipy.special import ndtri
 from banditlab import fast, rng
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
 from banditlab.policies import PolicySpec
-from banditlab.sim import (RegretTrace, Rewards, run_episode, run_experiment,
-                           summarize)
+from banditlab.sim import (RegretTrace, Rewards, draw_streams, run_episode,
+                           run_experiment, summarize)
 
 
 def flat_instance():
@@ -99,6 +99,15 @@ class TestEpisode:
             assert repr(tr.final_regret) == repr(want[-1][1])
             assert tr.inferior_count == want[-1][2]
 
+    @pytest.mark.parametrize("T", [1_000, 8_000])
+    def test_rejects_streams_of_another_horizon(self, T):
+        inst = make_power_payoff(0.6, 1.0)
+        streams = draw_streams(inst, 4_000, 7, 0)
+        with pytest.raises(ValueError, match=f"streams hold 4000 steps, but "
+                                             f"the horizon is {T}"):
+            run_episode(inst, PolicySpec("abse", {"beta": 0.6}), T, 7,
+                        streams=streams)
+
     def test_checkpoints_monotone(self):
         inst = make_power_payoff(0.6, 1.0)
         tr = run_episode(inst, PolicySpec("fixed", {"arm": 2}), 10_000, seed=4,
@@ -121,49 +130,97 @@ class TestEpisode:
         assert a == b
 
 
+def crossing_instance(noise):
+    """Two arms in [0, 1] that cross, written on (n, 1) arrays of points."""
+    return ProblemInstance("crossing", 1,
+                           lambda pts: 0.5 + 0.4 * np.sin(7.0 * pts[:, 0]),
+                           lambda pts: pts[:, 0] ** 2, noise)
+
+
 class TestRewards:
     @pytest.mark.parametrize("noise", [("gaussian", 0.3), ("bernoulli",)])
     def test_reads_equal_eager_rewards(self, noise):
-        # Every read, in any order, overlapping earlier reads, repeated, or
-        # through a tail view, returns the reward the eager formula gives;
-        # and each entry is made once, the tail's too.
+        # Every read, in any order, overlapping earlier reads, repeated
+        # within one read, read again, or through a tail view, returns the
+        # reward the eager formula gives from the stored payoff table F;
+        # and each entry, with its payoff, is made once, but for the rows
+        # a first read names twice.
         T, start = 2_000, 1_300
         g = np.random.default_rng(5)
-        F = g.random((T, 2))
+        inst = crossing_instance(noise)
+        X = g.random((T, 1))
+        F = inst.payoffs(X)
         u = rng.open_uniforms(g, 2 * T).reshape(2, T)
         if noise[0] == "gaussian":
             want = F + noise[1] * ndtri(u.T)
         else:
             want = (u.T < F).astype(np.float64)
-        rewards = Rewards(F, u.copy(), noise)
+        rewards = Rewards(X, u.copy(), inst)
         tail = rewards.tail(start)
         shuffled = g.permutation(T)
+        twice = np.repeat(shuffled[700:800], 2)     # unmade, each named twice
         reads = [
             (rewards, 0, shuffled[:700]),
             (rewards, 1, shuffled[:700:3]),
+            (rewards, 1, twice),
             (rewards, 0, shuffled[500:1500]),       # overlaps the first read
             (rewards, 0, np.repeat(shuffled[:700:7], 3)),  # made, read again
+            (rewards, 1, twice),                     # a second read
             (tail, 1, g.permutation(T - start)),
             (tail, 0, np.array([], dtype=np.int64)),
             (rewards, 1, shuffled),                  # partly made by the tail
             (rewards, 0, np.arange(T)),
         ]
-        with mock.patch.object(rng, "gaussian_from_uniform",
-                               wraps=rng.gaussian_from_uniform) as made:
+        with (mock.patch.object(rng, "gaussian_from_uniform",
+                                wraps=rng.gaussian_from_uniform) as made,
+              mock.patch.object(ProblemInstance, "payoffs", autospec=True,
+                                side_effect=ProblemInstance.payoffs) as paid):
             for source, arm, rows in reads:
                 offset = start if source is tail else 0
                 assert np.array_equal(source.read(arm, rows),
                                       want[rows + offset, arm])
         n_made = sum(len(call.args[0]) for call in made.call_args_list)
-        assert n_made == (2 * T if noise[0] == "gaussian" else 0)
+        assert n_made == (2 * T + 100 if noise[0] == "gaussian" else 0)
+        n_paid = [sum(len(call.args[1]) for call in paid.call_args_list
+                      if call.args[2] == arm) for arm in (0, 1)]
+        assert n_paid == [T, T + 100]
 
-    def test_rejects_bad_noise(self):
-        F = np.full((10, 2), 0.5)
-        u = np.full((2, 10), 0.5)
+    def test_rejects_bad_noise(self, monkeypatch):
+        X, u = np.full((10, 1), 0.5), np.full((2, 10), 0.5)
         with pytest.raises(ValueError, match="unknown noise"):
-            Rewards(F, u, ("cauchy", 1.0))
+            Rewards(X, u, crossing_instance(("cauchy", 1.0)))
+        # The draw checks Bernoulli payoffs block by block; here only the
+        # last of 5-step blocks holds one above 1.
+        steep = ProblemInstance("steep", 1, lambda pts: pts[:, 0] + 0.1,
+                                lambda pts: 0.5 + 0.0 * pts[:, 0], ("bernoulli",))
+        X = rng.covariate_block(12, 0, 23, 1)
+        assert (X[:20] < 0.9).all() and X.max() > 0.9
+        monkeypatch.setattr(rng, "BLOCK", 5)
         with pytest.raises(ValueError, match="Bernoulli"):
-            Rewards(F + 1.0, u, ("bernoulli",))
+            draw_streams(steep, 23, 12)
+        draw_streams(steep, 20, 12)
+
+    def test_streams_hold_no_payoff_table(self):
+        inst = make_power_payoff(0.6, 1.0)
+        streams = draw_streams(inst, 5_000, 2, 1)
+        F = inst.payoffs(streams.X)
+        assert streams._fields == ("X", "gap", "rewards")
+        assert streams.gap.tobytes() == (F[:, 0] - F[:, 1]).tobytes()
+
+    def test_oracle_reads_the_gap(self):
+        # On tied steps gap == 0 and the oracle plays arm 1, as the test
+        # F1 > F0 on the payoff table does.
+        inst = ProblemInstance(
+            "tie", 1,
+            f1=lambda x: np.asarray(x, float)[:, 0],
+            f2=lambda x: np.clip(np.asarray(x, float)[:, 0], 0.3, 0.7),
+            noise=("gaussian", 0.05))
+        X, gap, rewards = draw_streams(inst, 3_000, 6)
+        F = inst.payoffs(X)
+        assert (F[:, 0] == F[:, 1]).any() and (gap == 0).any()
+        oracle = PolicySpec("oracle", {}).build(inst, 3_000)
+        assert np.array_equal(fast.run_fast(oracle, X, rewards, gap),
+                              np.where(F[:, 1] > F[:, 0], 2, 1))
 
 
 @pytest.mark.parametrize("call,match", [
