@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from banditlab import rng
 from banditlab.errors import InvalidGapError, InvalidRegimeError
 from banditlab.instances import (
+    _bump_field,
     bump,
     check_holder,
     check_margin,
@@ -591,7 +593,6 @@ class TestOnePassPayoffs:
     def test_stream_points(self, spec, T, step):
         """The covariates of replication 0 at base seeds 1, 2 and 3, every
         step-th of them."""
-        from banditlab import rng
         inst = make_instance(spec, T)
         for seed in (1, 2, 3):
             check_arms(inst, rng.covariate_block(seed, 0, T, 1)[::step, 0])
@@ -602,7 +603,6 @@ class TestOnePassPayoffs:
         I/II), where neighbouring supports meet, the centers, and their
         floating-point neighbours, every step-th of them: in field
         coordinates, and as covariates."""
-        from banditlab.instances import _bump_field
         inst = make_instance(spec, T)
         amp, scale, centers, signs = field_of(inst)
         beta = inst.meta["beta"]
