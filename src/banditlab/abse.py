@@ -24,11 +24,12 @@ in which case it commits to the empirically better arm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import StateDesyncError
+from .instances import check_real
 from .partition import Partition, locate_bin
 
 
@@ -47,12 +48,20 @@ class AbseConfig:
     noise_scale: float = 0.5
 
     def __post_init__(self):
+        check_reals(self)
         if not (0 < self.beta <= 1):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.c0 <= 0 or self.gamma_abse <= 0 or self.noise_scale <= 0:
             raise ValueError("c0, gamma_abse and noise_scale must be positive")
         if self.T < 2:
             raise ValueError(f"horizon must be >= 2, got {self.T}")
+
+
+def check_reals(config) -> None:
+    """Check, with `check_real`, each float field of a config dataclass."""
+    for f in fields(config):
+        if f.type in ("float", float):
+            check_real(getattr(config, f.name), f.name)
 
 
 def max_depth(cfg: AbseConfig) -> int:

@@ -36,7 +36,7 @@ import scipy
 
 from . import __version__, _numpy_openblas_threads
 from .errors import BanditLabError, ValidationError
-from .instances import (check_holder, check_integer, check_margin,
+from .instances import (check_holder, check_integer, check_margin, check_real,
                         check_self_similarity, make_instance)
 from .policies import PolicySpec, tuning_defaults
 from .sim import run_experiment
@@ -60,20 +60,22 @@ def _integer(value, name: str, problems: list, low: int | None = None):
         return None
 
 
-def _huge_integers(value, name: str):
-    """The names of the integers in value, nested in objects and lists,
-    that no float can hold."""
+def _unreal_numbers(value, name: str):
+    """The problems of the numbers in value, nested in objects and lists,
+    that no finite float holds (a huge integer, inf or nan), each named."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from _huge_integers(item, f"{name}.{key}")
+            yield from _unreal_numbers(item, f"{name}.{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            yield from _huge_integers(item, f"{name}[{i}]")
+            yield from _unreal_numbers(item, f"{name}[{i}]")
+    elif type(value) is float and not math.isfinite(value):
+        yield f"{name} must be a finite number, got {value!r}"
     elif type(value) is int:
         try:
             float(value)
         except OverflowError:
-            yield name
+            yield f"{name} is an integer too large for a float"
 
 
 def _unit_beta(value) -> bool:
@@ -156,21 +158,19 @@ def parse_config(path_or_dict) -> dict:
     horizons = [_integer(t, "sweep.T", problems, low=1)
                 for t in cfg["sweep"].get("T", [])]
     horizons = [t for t in horizons or [cfg["T"]] if t is not None]
-    # An integer no float can hold is named; its instance is not built.
-    huge = [f"{name} is an integer too large for a float"
-            for name in itertools.chain(_huge_integers(inst, "instance"),
-                                        _huge_integers(cfg["sweep"].get("beta", []),
-                                                       "sweep.beta"))]
-    problems.extend(huge)
+    # A number no finite float holds is named; its instance is not built.
+    unreal = list(itertools.chain(_unreal_numbers(inst, "instance"),
+                                  _unreal_numbers(cfg["sweep"].get("beta", []),
+                                                  "sweep.beta")))
+    problems.extend(unreal)
     betas = []
     for beta in (cfg["sweep"].get("beta")
                  or ([inst["beta"]] if "beta" in inst else [])):
         try:
-            betas.append(float(beta))
-        except (TypeError, ValueError) as e:
-            problems.append(f"instance: {e}")
-        except OverflowError:           # named above
-            pass
+            betas.append(check_real(beta, "beta"))
+        except (TypeError, ValueError, OverflowError) as e:
+            if not any(_unreal_numbers(beta, "beta")):   # else named above
+                problems.append(f"instance: {e}")
 
     policies = raw.get("policies") or []
     if not isinstance(policies, list):
@@ -234,7 +234,7 @@ def parse_config(path_or_dict) -> dict:
             index.setdefault(key, i)
     for (T, beta), specs in groups.items():
         instance = None
-        if kind in INSTANCE_KINDS and betas and not huge:
+        if kind in INSTANCE_KINDS and betas and not unreal:
             try:
                 instance = make_instance({**inst, "beta": beta}, T)
             except KeyError as e:

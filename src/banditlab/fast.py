@@ -19,9 +19,11 @@ time-ordered run; in Morton order a cell of any depth, in any config's
 tree, is a block of consecutive runs.  The index is one array of packed
 keys, (leaf << bits) | t, sorted in place: 4 bytes an arrival while
 d k0 + bits <= 32, against the 8 of an argsort's intp index.  A node is a
-cell and the step it starts at.  It tests the first 2 * lifetime arrivals
-of its cell from its start on, and its children start one step after the
-last of them; so each arrival is tested by at most one node of a config.
+cell and the step it starts at; the roots start at the replay's start, 0,
+or t_sacb in SACB's handoff, whose index keys only the steps from there.
+It tests the first 2 * lifetime arrivals of its cell from its start on,
+and its children start one step after the last of them; so each arrival
+is tested by at most one node of a config.
 At each depth the nodes of every config are grouped by cell.  Each leaf
 run of a cell gives its arrivals from the cell's earliest start to its
 latest start and the largest 2 * lifetime beyond, and one sort of packed
@@ -42,7 +44,7 @@ has cum[r] arrivals, or it is the whole stream; a bin that fired, ran
 out of rounds or ran out of arrivals asks for no more.  That is exact
 because a bin's tests read nothing past its cum[r_end] arrivals, the last
 of which ends its estimation, so t_sacb lies inside the prefix and every
-later step is ABSE's.
+later step is ABSE's: a replay whose root starts at t_sacb.
 
 The engines read rewards only through `sim.Rewards`, which makes each
 (t, arm) entry, and its payoff, on its first read; an episode pays for
@@ -81,8 +83,8 @@ def _key_dtype(n_codes: int) -> np.dtype:
     return np.min_scalar_type(n_codes - 1)
 
 
-def _leaf_keys(X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """The arrivals' packed keys (leaf << bits) | t, sorted, and bits.
+def _leaf_keys(X: np.ndarray, k: int, first: int = 0) -> tuple[np.ndarray, int]:
+    """The sorted keys (leaf << bits) | t of the arrivals t >= first, and bits.
 
     leaf is the depth-k cell of arrival t.  In d >= 2 the axes' cell bits
     are interleaved (a Morton code), axis 0 most significant, as
@@ -99,8 +101,8 @@ def _leaf_keys(X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     bits = max(n - 1, 0).bit_length()
     dtype = _key_dtype((1 << (X.shape[1] * k)) << bits)
     shift = dtype.type(bits)
-    keys = np.empty(n, dtype=dtype)
-    for start in range(0, n, rng.BLOCK):
+    keys = np.empty(n - first, dtype=dtype)
+    for start in range(first, n, rng.BLOCK):
         coords = cell_coords(X[start:start + rng.BLOCK], 1 << k)
         code = coords[:, 0]
         if coords.shape[1] > 1:
@@ -109,8 +111,8 @@ def _leaf_keys(X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
                 for col in coords.T:
                     code = 2 * code + ((col >> bit) & 1)
         stop = start + len(code)
-        np.bitwise_or(code.astype(dtype) << shift,
-                      np.arange(start, stop, dtype=dtype), out=keys[start:stop])
+        np.bitwise_or(code.astype(dtype) << shift, np.arange(start, stop, dtype=dtype),
+                      out=keys[start - first:stop - first])
     keys.sort()
     return keys, bits
 
@@ -222,12 +224,13 @@ def _test_nodes(cfg, depth, lists, first, length, mask, rewards, actions):
     return fired, gap, last
 
 
-def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
+def abse_group_actions(cfgs, X: np.ndarray, rewards, start: int = 0) -> list[np.ndarray]:
     """Action sequences of several ABSE configs on one stream.
 
     X has shape (n, d), the covariates of every config's d; rewards is a
     `sim.Rewards` over the same n steps, read for the arrivals the
-    elimination tests use.  Returns, per config, int8 actions in {1, 2}.
+    elimination tests use.  Every root starts at step start.  Returns, per
+    config, n int8 actions: 0 before start, in {1, 2} from start on.
 
     Depth-by-depth replay of every config's tree from one index: the
     packed keys of `_leaf_keys` at the deepest k0 of the configs, in which
@@ -252,14 +255,14 @@ def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
     n, d = X.shape
     k0 = [max_depth(cfg) for cfg in cfgs]
     deepest = max(k0)
-    keys, bits = _leaf_keys(X, deepest)
+    keys, bits = _leaf_keys(X, deepest, start)
     dtype = keys.dtype
     mask = dtype.type((1 << bits) - 1)
     run_end = np.searchsorted(keys, np.arange(1 << (d * deepest), dtype=dtype)
                               << dtype.type(bits) | mask, side="right")
     actions = [np.zeros(n, dtype=np.int8) for _ in cfgs]
     cells = [np.zeros(1, dtype=np.int64) for _ in cfgs]    # live nodes
-    starts = [np.zeros(1, dtype=np.int64) for _ in cfgs]
+    starts = [np.full(1, start, dtype=np.int64) for _ in cfgs]
     for depth in range(deepest + 1):
         for j in range(len(cfgs)):                       # drop the empty ones
             cells[j], starts[j] = cells[j][starts[j] < n], starts[j][starts[j] < n]
@@ -296,14 +299,15 @@ def abse_group_actions(cfgs, X: np.ndarray, rewards) -> list[np.ndarray]:
     return actions
 
 
-def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards) -> np.ndarray:
+def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards, start: int = 0) -> np.ndarray:
     """Action sequence of ABSE on the stream of covariates X and rewards.
 
     X has shape (n, d); rewards is a `sim.Rewards` over the same n steps.
-    Returns int8 actions in {1, 2}.  The replay of a lone policy, and of
-    SACB's handoff: `abse_group_actions` of the list [cfg].
+    Returns n int8 actions: 0 before start, where the root starts, and in
+    {1, 2} from there.  The replay of a lone policy, and of SACB's
+    handoff: `abse_group_actions` of the list [cfg].
     """
-    return abse_group_actions([cfg], X, rewards)[0]
+    return abse_group_actions([cfg], X, rewards, start)[0]
 
 
 def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
@@ -324,9 +328,9 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     tests it on, and the step its estimation ends, its cum[r_end]-th
     arrival, lies inside the prefix; so does t_sacb, the last of them.
     Before t_sacb every arrival plays the alternation of its bin's
-    arrivals so far; the steps from t_sacb on are ABSE's.  A bin starved
-    of arrivals takes the prefix to the whole stream and stops testing;
-    then t_sacb is None.
+    arrivals so far; the steps from t_sacb on are ABSE's, its root at
+    t_sacb of the same stream.  A bin starved of arrivals takes the
+    prefix to the whole stream and stops testing; then t_sacb is None.
     """
     n = len(X)
     actions = np.zeros(n, dtype=np.int8)
@@ -373,8 +377,8 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     actions[order] = 1 + ((np.arange(m) - np.repeat(first, size)) & 1)
     if np.all(r_end > 0):
         t_sacb = int(order[first + cum[r_end] - 1].max()) + 1
-        actions[t_sacb:] = abse_actions(policy.handoff_config(t_sacb), X[t_sacb:],
-                                        rewards.tail(t_sacb))
+        actions[t_sacb:] = abse_actions(policy.handoff_config(t_sacb), X, rewards,
+                                        t_sacb)[t_sacb:]
     return actions
 
 

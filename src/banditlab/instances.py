@@ -9,6 +9,7 @@ dense grids and return `PropertyReport`s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +37,27 @@ def check_noise(noise) -> tuple:
 def check_integer(value, name: str, low: int | None = None) -> int:
     """value as an int (at least low); else a ValueError that names it.
 
-    An integral float such as 2.0 is its int; a bool is not an integer,
-    though it is an int to Python and float(True).is_integer() holds.
+    An integral float such as 2.0 is its int; a bool or a string is not,
+    though float() reads both (and a bool is an int to Python).
     """
     try:
-        if (not isinstance(value, bool) and float(value).is_integer()
-                and (low is None or int(value) >= low)):
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and float(value).is_integer() and (low is None or int(value) >= low)):
             return int(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         pass
     bound = "" if low is None else f" >= {low}"
     raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_real(value, name: str) -> float:
+    """value as a finite float; else a ValueError that names it.  A bool or
+    a string is no number, though float() reads both (a string it cannot
+    read keeps float()'s own error)."""
+    number = float(value)
+    if isinstance(value, (bool, str)) or not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -67,18 +78,12 @@ class ProblemInstance:
     f2: object
     noise: tuple
     meta: dict = field(default_factory=dict)
-    both: object = None     # (n, 2) payoffs, where the arms share work
 
     def payoffs(self, x, arm: int | None = None):
         """Stacked payoffs, shape (n, 2), at (n, d) points (or n points when
-        d = 1); or the (n,) payoffs of arm 0 (f1) or 1 (f2) alone.
-
-        Each column has the bits of its arm's function at the same points.
-        """
+        d = 1); or the (n,) payoffs of arm 0 (f1) or 1 (f2) alone."""
         if arm is not None:
             return (self.f1, self.f2)[arm](x)
-        if self.both is not None:
-            return self.both(x)
         return np.column_stack([self.f1(x), self.f2(x)])
 
 
@@ -95,9 +100,8 @@ class PropertyReport:
     margin_of_violation: float
 
 
-def _instance(name, d, g1, g2, noise, meta, both=None) -> ProblemInstance:
-    """Instance whose arms g1, g2, and both arms at once if given, are
-    written on (n, d) arrays of points."""
+def _instance(name, d, g1, g2, noise, meta) -> ProblemInstance:
+    """Instance whose arms g1, g2 are written on (n, d) arrays of points."""
 
     def arm(g):
         def f(x):
@@ -106,11 +110,7 @@ def _instance(name, d, g1, g2, noise, meta, both=None) -> ProblemInstance:
             return float(out[0]) if x.ndim == 0 else out
         return f
 
-    def pair(x):
-        return both(np.asarray(x, dtype=float).reshape(-1, d))
-
-    return ProblemInstance(name, d, arm(g1), arm(g2), noise, meta,
-                           None if both is None else pair)
+    return ProblemInstance(name, d, arm(g1), arm(g2), noise, meta)
 
 
 def _constant(value: float):
@@ -126,12 +126,8 @@ def bump(x, beta: float):
     """Tent-power bump (1 - |x|)^beta on |x| <= 1, zero outside."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    scalar = np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = np.abs(xa) <= 1.0
-    out = np.zeros_like(xa)
-    out[inside] = (1.0 - np.abs(xa[inside])) ** beta
-    return float(out[0]) if scalar else out
+    out = np.fmax(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0) ** beta
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _bump_field(u, amp, scale, centers, signs, beta):
@@ -154,8 +150,7 @@ def _bump_field(u, amp, scale, centers, signs, beta):
     for k in range(int(count.max(initial=0))):
         at = np.flatnonzero(count > k)
         j = first[at].astype(np.intp) + k
-        y = np.abs(scale * (u[at] - centers[j]))
-        total[at] += signs[j] * np.fmax(1.0 - y, 0.0) ** beta
+        total[at] += signs[j] * bump(scale * (u[at] - centers[j]), beta)
     return 0.5 + amp * total
 
 
@@ -190,8 +185,8 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
 
     tau, C and alpha are the setting's defaults (alpha None means 1/beta);
     overrides may replace them, and M = scale(tau) and the bump count m.
-    extra is added to meta; its keys are the setting's own overrides.  Any
-    other override key is a ValueError.
+    extra is added to meta; its keys are the setting's own overrides.  An
+    unknown override key, or a value that is no number, is a ValueError.
     """
     if not (0 < beta <= 1):
         raise ValueError(f"beta must be in (0, 1], got {beta}")
@@ -201,12 +196,15 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
     unknown = set(ov) - {"tau", "L1", "C", "alpha", "sigma", "M", "m", *extra}
     if unknown:
         raise ValueError(f"unknown {name} overrides {sorted(unknown)}")
+    for key, value in ov.items():
+        if key not in ("sigma", "m"):
+            ov[key] = check_real(value, f"overrides.{key}")
     tau = ov.get("tau", tau)
     L1 = ov.get("L1", 1.0)
     C = ov.get("C", C)
     alpha = ov.get("alpha", 1.0 / beta if alpha is None else alpha)
     noise = check_noise(("gaussian", ov.get("sigma", GAUSSIAN_SIGMA_DEFAULT)))
-    M = float(ov["M"]) if "M" in ov else scale(tau)
+    M = ov["M"] if "M" in ov else scale(tau)
     # Bumps j with (j + 1)/M <= 1 keep their support inside (1/2, 1), which
     # is what keeps f1 continuous at 1/2; the nominal count M^(1-alpha*beta)
     # can exceed that by one for alpha near 0.
@@ -220,19 +218,16 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
     signs = (-1.0) ** np.arange(1, m + 1)
     half = 0.5 * (1.0 + L1 * 0.5 ** beta)
 
-    def arms(pts, which):
-        """Columns of the arms which (0: f1, 1: f2): the shared branch on
-        x <= 1/2, evaluated once, and each arm's own on the other points."""
-        x = pts[:, 0]
-        lo = x <= 0.5
-        left, right = np.flatnonzero(lo), np.flatnonzero(~lo)
-        shared = half - 0.5 * L1 * x[left] ** beta
-        out = np.empty((len(which), len(x)))        # arm-major
-        for row, arm in zip(out, which):
-            row[left] = shared
-            row[right] = 0.5 if arm else _bump_field(
-                2.0 - 2.0 * x[right], amp, 2.0 * M, a, signs, beta)
-        return out.T
+    def arm(right):
+        """The arm paying the shared branch on x <= 1/2, right(x) beyond."""
+        def f(pts):
+            x, out = pts[:, 0], np.empty(len(pts))
+            lo = x <= 0.5
+            at, far = np.flatnonzero(lo), np.flatnonzero(~lo)
+            out[at] = half - 0.5 * L1 * x[at] ** beta
+            out[far] = right(x[far])
+            return out
+        return f
 
     # Margin constant: within each bump the mass where 0 < gap <= delta is
     # (delta/amp)^(1/beta) of the bump width; maximized at delta = amp.
@@ -247,9 +242,8 @@ def _make_setting(name, beta, T, overrides, scale, tau, C, alpha, **extra):
         "C0": C0, "M": M, "m": m, "amplitude": amp, "bump_centers": a,
         "sigma": noise[1], "tau": tau, "C": C, "L1": L1, **extra,
     }
-    return _instance(name, 1, lambda pts: arms(pts, (0,))[:, 0],
-                     lambda pts: arms(pts, (1,))[:, 0], noise, meta,
-                     both=lambda pts: arms(pts, (0, 1)))
+    bumps = arm(lambda x: _bump_field(2.0 - 2.0 * x, amp, 2.0 * M, a, signs, beta))
+    return _instance(name, 1, bumps, arm(lambda x: 0.5), noise, meta)
 
 
 def make_setting_one(beta: float, T: int, overrides: dict | None = None) -> ProblemInstance:
@@ -448,34 +442,31 @@ def make_instance(spec: dict, T: int) -> ProblemInstance:
     """Build an instance from a declarative spec (CLI / worker entry point).
 
     Recognized kinds: setting1, setting2, power, lower_bound, example1.  A
-    spec key the kind does not read is a ValueError.
+    spec key the kind does not read, or a bad number, is a ValueError.
     """
     spec = dict(spec)
     kind = spec.pop("kind")
-    beta = float(spec.pop("beta"))
+    beta = check_real(spec.pop("beta"), "beta")
     if kind == "setting1":
         inst = make_setting_one(beta, T, overrides=spec.pop("overrides", None))
     elif kind == "setting2":
         inst = make_setting_two(beta, T, overrides=spec.pop("overrides", None))
     elif kind == "power":
-        inst = make_power_payoff(beta, float(spec.pop("delta", 1.0)),
+        inst = make_power_payoff(beta, check_real(spec.pop("delta", 1.0), "delta"),
                                  noise=spec.pop("noise", None))
     elif kind == "lower_bound":
         family = make_lower_bound_family(
-            beta,
-            float(spec.pop("gamma")),
-            float(spec.pop("alpha")),
-            float(spec.pop("delta")),
+            beta, *(check_real(spec.pop(k), k) for k in ("gamma", "alpha", "delta")),
             spec.pop("variant", "at-most-lipschitz"),
-            d=check_integer(spec.pop("d", 1), "d"),
-        )
+            d=check_integer(spec.pop("d", 1), "d"))
         member = check_integer(spec.pop("member", 0), "member")
         if not (0 <= member < len(family)):
             raise ValueError(f"member {member} outside family of {len(family)}")
         inst = family[member]
     elif kind == "example1":
-        inst = make_example1_family(beta, float(spec.pop("tilde_beta")), T,
-                                    check_integer(spec.pop("part", 1), "part"))
+        inst = make_example1_family(
+            beta, check_real(spec.pop("tilde_beta"), "tilde_beta"), T,
+            check_integer(spec.pop("part", 1), "part"))
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
     if spec:

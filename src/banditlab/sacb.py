@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abse import AbseConfig, AbsePolicy, next_arm
+from .abse import AbseConfig, AbsePolicy, check_reals, next_arm
 from .errors import StateDesyncError
 from .locpoly import floor_strict, window_fits
 from .partition import (build_partition, cells_per_axis, locate_bin, log_base,
@@ -53,6 +53,7 @@ class SacbConfig:
     noise_scale: float = AbseConfig.noise_scale
 
     def __post_init__(self):
+        check_reals(self)
         if not (0 < self.beta_lo <= self.beta_hi):
             raise ValueError(
                 f"need 0 < beta_lo <= beta_hi, got [{self.beta_lo}, {self.beta_hi}]")

@@ -16,7 +16,6 @@ sequential policies are the reference those engines are tested against.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -68,7 +67,8 @@ class Rewards:
     over the whole stream.  A reward thus depends only on its uniform and
     payoff, never on which policy read it first, and entries nobody reads
     are never made, nor are their payoffs.  `draw_streams` checks that
-    Bernoulli payoffs lie in [0, 1].
+    Bernoulli payoffs lie in [0, 1].  Rows are the replication's steps for
+    every reader, SACB's handoff to ABSE from t_sacb on included.
     """
 
     def __init__(self, X: np.ndarray, u: np.ndarray, instance: ProblemInstance):
@@ -92,13 +92,6 @@ class Rewards:
                 u[new] = f + self.sigma * rng.gaussian_from_uniform(u.take(new))
             done[new] = True
         return u.take(rows)
-
-    def tail(self, start: int) -> "Rewards":
-        """The rewards of steps start, start + 1, ..., sharing these entries."""
-        view = copy.copy(self)
-        view._X = self._X[start:]
-        view._arms = tuple((u[start:], done[start:]) for u, done in self._arms)
-        return view
 
 
 class Streams(NamedTuple):

@@ -12,6 +12,26 @@ def cfg(beta=0.5, c0=2.0, T=100_000, d=1, gamma_abse=1.0, noise_scale=0.5):
                       noise_scale=noise_scale)
 
 
+@pytest.mark.parametrize("over,match", [
+    ({"beta": 0.0}, r"beta must be in \(0, 1\]"),
+    ({"beta": 1.5}, r"beta must be in \(0, 1\]"),
+    ({"c0": 0.0}, "c0, gamma_abse and noise_scale must be positive"),
+    ({"noise_scale": -0.5}, "c0, gamma_abse and noise_scale must be positive"),
+    ({"T": 1}, "horizon must be >= 2"),
+    # A bool or a string is no number, and neither is inf or nan; each ran.
+    ({"beta": True}, "beta must be a finite number, got True"),
+    ({"beta": "0.6"}, "beta must be a finite number, got '0.6'"),
+    ({"c0": True}, "c0 must be a finite number, got True"),
+    ({"c0": math.inf}, "c0 must be a finite number, got inf"),
+    ({"gamma_abse": math.nan}, "gamma_abse must be a finite number, got nan"),
+    ({"noise_scale": "0.5"}, "noise_scale must be a finite number, got '0.5'"),
+], ids=["beta-zero", "beta-range", "c0", "noise-scale", "T", "beta-bool",
+        "beta-string", "c0-bool", "c0-inf", "gamma-abse-nan", "noise-scale-string"])
+def test_config_rejects_bad_tuning(over, match):
+    with pytest.raises(ValueError, match=match):
+        AbseConfig(**{"beta": 0.5, "T": 1000, **over})
+
+
 class TestFormulas:
     def test_root_lifetime(self):
         c = cfg(T=100_000)

@@ -449,6 +449,57 @@ class TestRun:
                          "overrides": {"M": 8.0, "m": value}}},
            rf"^instance: overrides\.m must be an integer, got {value!r}$")
           for value in (2.5, True)],
+        # JSON 1e999 reads as inf and NaN as nan: a sacb gamma or an abse c0
+        # of inf ran, and so did a setting's C of inf, writing a nan regret.
+        ({"policies": [{"kind": "sacb", "gamma": math.inf}]},
+         r"^policies\[0\]: gamma must be a finite number, got inf$"),
+        ({"instance": {"kind": "power", "beta": 0.6},
+          "policies": [{"kind": "abse", "beta": 0.6, "c0": math.inf}]},
+         r"^policies\[0\]: c0 must be a finite number, got inf$"),
+        ({"instance": {"kind": "setting1", "beta": 0.9,
+                       "overrides": {"M": 8.0, "C": math.inf}}},
+         r"^instance\.overrides\.C must be a finite number, got inf$"),
+        ({"instance": {"kind": "setting1", "beta": math.nan}},
+         r"^instance\.beta must be a finite number, got nan$"),
+        ({"sweep": {"beta": [0.9, math.inf]}},
+         r"^sweep\.beta\[1\] must be a finite number, got inf$"),
+        ({"instance": {"kind": "power", "beta": 0.6, "delta": math.nan},
+          "policies": [{"kind": "abse", "beta": 0.6}]},
+         r"^instance\.delta must be a finite number, got nan$"),
+        ({"instance": {"kind": "power", "beta": 0.6,
+                       "noise": ["gaussian", math.inf]},
+          "policies": [{"kind": "abse", "beta": 0.6}]},
+         r"^instance\.noise\[1\] must be a finite number, got inf$"),
+        # A bool or a numeric string ran as its number: an abse beta or c0
+        # of true as 1, a setting beta of true, a T, reps or base_seed
+        # string, an instance beta string (kept a string in the normalized
+        # config) and a setting override string.
+        ({"policies": [{"kind": "abse", "beta": True}]},
+         r"^policies\[0\]: beta must be a finite number, got True$"),
+        ({"policies": [{"kind": "abse", "beta": 0.9, "c0": True}]},
+         r"^policies\[0\]: c0 must be a finite number, got True$"),
+        ({"policies": [{"kind": "sacb", "q": "1.4"}]},
+         r"^policies\[0\]: q must be a finite number, got '1\.4'$"),
+        ({"instance": {"kind": "setting1", "beta": True,
+                       "overrides": {"M": 8.0}}},
+         r"^instance: beta must be a finite number, got True$"),
+        ({"sweep": {"beta": [True]}},
+         r"^instance: beta must be a finite number, got True$"),
+        ({"T": "20000"}, r"^T must be an integer >= 1, got '20000'$"),
+        ({"reps": " 2 "}, r"^reps must be an integer >= 1, got ' 2 '$"),
+        ({"base_seed": "7"}, r"^base_seed must be an integer, got '7'$"),
+        ({"instance": {"kind": "setting1", "beta": "0.6",
+                       "overrides": {"M": 8.0}}},
+         r"^instance: beta must be a finite number, got '0\.6'$"),
+        ({"instance": {"kind": "setting1", "beta": 0.9,
+                       "overrides": {"M": "8"}}},
+         r"^instance: overrides\.M must be a finite number, got '8'$"),
+        ({"instance": {"kind": "power", "beta": 0.6, "delta": "0.5"},
+          "policies": [{"kind": "abse", "beta": 0.6}]},
+         r"^instance: delta must be a finite number, got '0\.5'$"),
+        ({"instance": {**LOWER_BOUND_INSTANCE, "d": "2"},
+          "policies": [{"kind": "abse", "beta": 0.5}]},
+         r"^instance: d must be an integer, got '2'$"),
     ], ids=["abse-T1", "sacb-T2", "sweep-T1", "T-not-a-number", "T-fractional",
             "reps-not-a-number", "sweep-scalar", "stride-not-a-number",
             "stride-fractional", "stride-negative", "setting1-no-bumps",
@@ -466,7 +517,13 @@ class TestRun:
             "huge-noise-sigma", "huge-lower-bound-gamma", "huge-lower-bound-d",
             "lower-bound-fractional-d", "lower-bound-fractional-member",
             "lower-bound-bool-d", "example1-fractional-part",
-            "fractional-override-m", "bool-override-m"])
+            "fractional-override-m", "bool-override-m", "inf-sacb-gamma",
+            "inf-abse-c0", "inf-override", "nan-instance-beta", "inf-sweep-beta",
+            "nan-power-delta", "inf-noise-sigma", "bool-abse-beta",
+            "bool-abse-c0", "string-sacb-q", "bool-instance-beta",
+            "bool-sweep-beta", "string-T", "string-reps", "string-base-seed",
+            "string-instance-beta", "string-override", "string-power-delta",
+            "string-lower-bound-d"])
     def test_horizon_and_integer_errors_exit_2_before_writing(
             self, tmp_path, monkeypatch, over, match):
         p = small_config(tmp_path, **over)

@@ -119,9 +119,9 @@ def test_engine_matches_sequential(inst_spec, pspec, T, seed, monkeypatch):
     abse_configs = []
     abse_actions = fast.abse_actions
 
-    def recording_abse_actions(cfg, X, rewards):
+    def recording_abse_actions(cfg, X, rewards, start=0):
         abse_configs.append(cfg)
-        return abse_actions(cfg, X, rewards)
+        return abse_actions(cfg, X, rewards, start)
 
     monkeypatch.setattr(fast, "abse_actions", recording_abse_actions)
     X, Y, a_fast = engine_then_reference(instance, fast_pol, T, seed)
@@ -174,6 +174,36 @@ def test_abse_leaf_keys_in_blocks(d, k0, n, dtype, monkeypatch):
         assert keys.dtype == dtype and bits == (n - 1).bit_length()
         assert np.array_equal(keys & ((1 << bits) - 1), want)
         assert np.array_equal(keys >> bits, leaf[want])
+
+
+# The deep Setting I tree of DEEP_ABSE (d = 1) and the d = 2 abse case of
+# CASES, at a shorter horizon.
+@pytest.mark.parametrize("inst_spec,params", [
+    ({"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}},
+     {"beta": 0.15, "gamma_abse": 0.25}),
+    ({"kind": "lower_bound", "beta": 0.5, "gamma": 0.9, "alpha": 1.0,
+      "delta": 0.25, "member": 1, "d": 2},
+     {"beta": 0.5, "c0": 4.0, "gamma_abse": 0.25}),
+], ids=["d1", "d2"])
+def test_abse_roots_that_start_late(inst_spec, params, monkeypatch):
+    """A replay whose roots start at step s plays 0 before s and, from s
+    on, what AbsePolicy plays on X[s:] with the same rewards; its index
+    keys the steps from s on, and only those.  s is 0, a step inside the
+    second rng.BLOCK, n - 1 and n."""
+    monkeypatch.setattr(rng, "BLOCK", 2_048)
+    n = 6_000
+    instance = make_instance(inst_spec, n)
+    cfg = PolicySpec("abse", params).build(instance, n).config
+    for s in (0, rng.BLOCK + 300, n - 1, n):
+        X, _, rewards = sim.draw_streams(instance, n, 41)
+        actions = fast.abse_actions(cfg, X, rewards, start=s)
+        Y = dense_rewards(rewards, n)
+        assert not actions[:s].any()
+        assert np.array_equal(actions[s:],
+                              sequential_actions(AbsePolicy(cfg), X[s:], Y[s:]))
+        keys, bits = fast._leaf_keys(X, max_depth(cfg), s)
+        assert len(keys) == n - s
+        assert np.array_equal(np.sort(keys & ((1 << bits) - 1)), np.arange(s, n))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -328,9 +358,9 @@ def sacb_engine_against_sequential(pspec, T, X, u):
             binned.append(len(points))
         return cell_coords(points, n)
 
-    def spy_abse_actions(cfg, X, rewards):
-        handed.append(len(X))
-        return abse_actions(cfg, X, rewards)
+    def spy_abse_actions(cfg, X, rewards, start=0):
+        handed.append(len(X) - start)
+        return abse_actions(cfg, X, rewards, start)
 
     with mock.patch.object(fast, "cell_coords", spy_cell_coords), \
             mock.patch.object(fast, "abse_actions", spy_abse_actions):

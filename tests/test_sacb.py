@@ -239,7 +239,16 @@ class TestStatistical:
     ({"q": 1.0}, "q: base must exceed 1"),
     ({"upsilon": -0.1}, "upsilon must be >= 0"),
     ({"handoff_horizon": "half"}, "bad handoff_horizon 'half'"),
-], ids=["beta-lo-zero", "beta-range", "gamma", "q", "upsilon", "handoff-horizon"])
+    # A bool or a string is no number, and neither is inf or nan; each ran.
+    ({"gamma": math.inf}, "gamma must be a finite number, got inf"),
+    ({"upsilon": math.nan}, "upsilon must be a finite number, got nan"),
+    ({"beta_hi": True}, "beta_hi must be a finite number, got True"),
+    ({"q": "1.4"}, "q must be a finite number, got '1.4'"),
+    ({"c0": math.inf}, "c0 must be a finite number, got inf"),
+    ({"gamma_abse": True}, "gamma_abse must be a finite number, got True"),
+], ids=["beta-lo-zero", "beta-range", "gamma", "q", "upsilon", "handoff-horizon",
+        "gamma-inf", "upsilon-nan", "beta-hi-bool", "q-string", "c0-inf",
+        "gamma-abse-bool"])
 def test_config_rejects_bad_tuning(over, match):
     with pytest.raises(ValueError, match=match):
         SacbConfig(**over)

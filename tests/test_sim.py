@@ -141,11 +141,11 @@ class TestRewards:
     @pytest.mark.parametrize("noise", [("gaussian", 0.3), ("bernoulli",)])
     def test_reads_equal_eager_rewards(self, noise):
         # Every read, in any order, overlapping earlier reads, repeated
-        # within one read, read again, or through a tail view, returns the
-        # reward the eager formula gives from the stored payoff table F;
+        # within one read, or read again, returns the reward the eager
+        # formula gives from the stored payoff table F;
         # and each entry, with its payoff, is made once, but for the rows
         # a first read names twice.
-        T, start = 2_000, 1_300
+        T = 2_000
         g = np.random.default_rng(5)
         inst = crossing_instance(noise)
         X = g.random((T, 1))
@@ -156,7 +156,6 @@ class TestRewards:
         else:
             want = (u.T < F).astype(np.float64)
         rewards = Rewards(X, u.copy(), inst)
-        tail = rewards.tail(start)
         shuffled = g.permutation(T)
         twice = np.repeat(shuffled[700:800], 2)     # unmade, each named twice
         reads = [
@@ -166,9 +165,7 @@ class TestRewards:
             (rewards, 0, shuffled[500:1500]),       # overlaps the first read
             (rewards, 0, np.repeat(shuffled[:700:7], 3)),  # made, read again
             (rewards, 1, twice),                     # a second read
-            (tail, 1, g.permutation(T - start)),
-            (tail, 0, np.array([], dtype=np.int64)),
-            (rewards, 1, shuffled),                  # partly made by the tail
+            (rewards, 1, shuffled),
             (rewards, 0, np.arange(T)),
         ]
         with (mock.patch.object(rng, "gaussian_from_uniform",
@@ -176,9 +173,7 @@ class TestRewards:
               mock.patch.object(ProblemInstance, "payoffs", autospec=True,
                                 side_effect=ProblemInstance.payoffs) as paid):
             for source, arm, rows in reads:
-                offset = start if source is tail else 0
-                assert np.array_equal(source.read(arm, rows),
-                                      want[rows + offset, arm])
+                assert np.array_equal(source.read(arm, rows), want[rows, arm])
         n_made = sum(len(call.args[0]) for call in made.call_args_list)
         assert n_made == (2 * T + 100 if noise[0] == "gaussian" else 0)
         n_paid = [sum(len(call.args[1]) for call in paid.call_args_list
@@ -356,7 +351,8 @@ class TestExperiment:
     def test_abse_policies_share_one_leaf_sort_per_task(self):
         # The table-sweep shape on two replications, one task each: every
         # task sorts its stream's leaf keys once for all its abse policies,
-        # and SACB's handoff sorts only the steps it hands to ABSE.
+        # and SACB's handoff sorts only the steps it hands to ABSE, those
+        # from the step its root starts at.
         spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
         T = 20_000
         policies = [PolicySpec("sacb", {"gamma": 0.3, "q": 1.4, "upsilon": 1.5,
@@ -365,7 +361,8 @@ class TestExperiment:
         with mock.patch.object(fast, "_leaf_keys", wraps=fast._leaf_keys) as sorts:
             res = run_experiment(spec, policies, T, reps=2, base_seed=12)
         handed = [T - tr.t_sacb for tr in res[0].traces]
-        assert sorted(len(c.args[0]) for c in sorts.call_args_list) == sorted([T, T] + handed)
+        keyed = [len(c.args[0]) - c.args[2] for c in sorts.call_args_list]
+        assert sorted(keyed) == sorted([T, T] + handed)
         inst = make_instance(spec, T)
         for ps, s in zip(policies, res, strict=True):
             assert s.traces == tuple(run_episode(inst, ps, T, 12, rep=r) for r in range(2))
