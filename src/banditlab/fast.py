@@ -48,18 +48,22 @@ later step is ABSE's: a replay whose root starts at t_sacb.
 
 The engines read rewards only through `sim.Rewards`, which makes each
 (t, arm) entry, and its payoff, on its first read; an episode pays for
-the rewards its tests use, not for the whole (T, 2) table.
+the rewards its tests use, not for the whole (T, 2) table.  No engine
+reads the replication's payoff gap F0 - F1: the oracle makes its own
+from the payoffs, block by block, and `sim` makes the replication's for
+its regret accounting once every engine has run.
 
-Memory.  An episode holds its streams: X, the (T,) payoff gaps F0 - F1,
-the (2, T) uniforms that become rewards and their done masks, 26 + 8 d
-bytes a step.
+Memory.  While the engines run, a replication holds its streams: X, the
+(2, T) uniforms that become rewards and their done masks, 18 + 8 d bytes
+a step.
 On top of them the ABSE engine holds its packed keys, one depth's cell
 lists (at most n keys; none at the deepest depth, which reads the keys)
 and one int8 array of actions per config it replays; SACB holds its int8
 actions and its binned prefix.  Every other stream-length pass (the draws
 in `rng`, the cell keys, the candidates, the test rows and the arms a
-terminal node plays here, the regret accounting in `sim`) runs rng.BLOCK
-steps at a time, so its temporaries are that long.
+terminal node plays here, the oracle's gaps, and the gap and regret
+accounting in `sim`) runs rng.BLOCK steps at a time, so its temporaries
+are that long.
 """
 
 from __future__ import annotations
@@ -303,11 +307,11 @@ def abse_actions(cfg: AbseConfig, X: np.ndarray, rewards, start: int = 0) -> np.
     """Action sequence of ABSE on the stream of covariates X and rewards.
 
     X has shape (n, d); rewards is a `sim.Rewards` over the same n steps.
-    Returns n int8 actions: 0 before start, where the root starts, and in
-    {1, 2} from there.  The replay of a lone policy, and of SACB's
-    handoff: `abse_group_actions` of the list [cfg].
+    Returns the n - start int8 actions, in {1, 2}, of steps start to n - 1,
+    where the root starts at start.  The replay of a lone policy, and of
+    SACB's handoff: `abse_group_actions` of the list [cfg].
     """
-    return abse_group_actions([cfg], X, rewards, start)[0]
+    return abse_group_actions([cfg], X, rewards, start)[0][start:]
 
 
 def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
@@ -378,21 +382,32 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     if np.all(r_end > 0):
         t_sacb = int(order[first + cum[r_end] - 1].max()) + 1
         actions[t_sacb:] = abse_actions(policy.handoff_config(t_sacb), X, rewards,
-                                        t_sacb)[t_sacb:]
+                                        t_sacb)
     return actions
 
 
-def run_fast(policy, X: np.ndarray, rewards, gap: np.ndarray) -> np.ndarray:
+def gap_blocks(instance, X: np.ndarray):
+    """The payoff gaps F0 - F1 at the covariates X, rng.BLOCK points at a
+    time: yields each block's first step and its (block,) gaps."""
+    for start in range(0, len(X), rng.BLOCK):
+        F = instance.payoffs(X[start:start + rng.BLOCK])
+        yield start, F[:, 0] - F[:, 1]
+
+
+def run_fast(policy, X: np.ndarray, rewards) -> np.ndarray:
     """Actions of a policy built by PolicySpec.build, on its engine.
 
-    rewards is the `sim.Rewards` of the same n steps.  gap holds the
-    payoff gaps F0 - F1 at X, shape (n,); only the oracle reads it, and
-    gap < 0 is its test F1 > F0, for a - b < 0 exactly when a < b.
+    rewards is the `sim.Rewards` of the same n steps.  The oracle takes
+    its actions from its instance's payoffs, block by block: gap < 0 is its
+    test F1 > F0, for a - b < 0 exactly when a < b, and a tie plays arm 1.
     """
     if isinstance(policy, FixedArmPolicy):
         return np.full(len(X), policy.arm, dtype=np.int8)
     if isinstance(policy, OraclePolicy):
-        return np.where(gap < 0, 2, 1).astype(np.int8)
+        actions = np.empty(len(X), dtype=np.int8)
+        for start, gap in gap_blocks(policy.instance, X):
+            actions[start:start + len(gap)] = np.where(gap < 0, 2, 1)
+        return actions
     if isinstance(policy, AbsePolicy):
         return abse_actions(policy.config, X, rewards)
     return sacb_actions(policy, X, rewards)

@@ -52,12 +52,12 @@ def check_integer(value, name: str, low: int | None = None) -> int:
 
 def check_real(value, name: str) -> float:
     """value as a finite float; else a ValueError that names it.  A bool or
-    a string is no number, though float() reads both (a string it cannot
-    read keeps float()'s own error)."""
-    number = float(value)
-    if isinstance(value, (bool, str)) or not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
+    a string is no number, though float() reads both."""
+    if not isinstance(value, (bool, str)):
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

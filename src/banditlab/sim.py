@@ -2,15 +2,17 @@
 
 Episodes are pure functions of (instance, policy spec, T, seed, rep):
 covariates and per-(t, arm) noise uniforms are pre-drawn from
-counter-based streams (see rng.py), with the payoff gap F0 - F1 that the
-regret accounting reads, and each reward is made from its uniform and
-its covariate's payoff on first read (`Rewards`), so replaying a
-configuration is bit-exact and two policies compared at the same
-(seed, rep) see identical covariates and identical counterfactual rewards
-(paired comparisons / common random numbers).  Every episode runs on the
-vectorized engine of its policy (`fast.run_fast`), and the abse policies
-of one task are replayed together (`fast.abse_group_actions`); the
-sequential policies are the reference those engines are tested against.
+counter-based streams (see rng.py), and each reward is made from its
+uniform and its covariate's payoff on first read (`Rewards`), so
+replaying a configuration is bit-exact and two policies compared at the
+same (seed, rep) see identical covariates and identical counterfactual
+rewards (paired comparisons / common random numbers).  Every episode runs
+on the vectorized engine of its policy (`fast.run_fast`), and the abse
+policies of one task are replayed together (`fast.abse_group_actions`);
+the sequential policies are the reference those engines are tested
+against.  A replication runs all its engines first and releases its
+rewards; only then is the payoff gap F0 - F1 made, once, and each
+episode's regret accounting reads it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
+from .abse import AbsePolicy
 from .instances import ProblemInstance, check_noise, make_instance
 from .policies import PolicySpec
 from . import fast
@@ -97,12 +100,12 @@ class Rewards:
 class Streams(NamedTuple):
     """One replication's draws, shared by every policy run on it.
 
-    No payoff table is kept: the regret accounting and the oracle read the
-    gap, and `Rewards` makes each payoff it needs from X.
+    No payoff is kept: `Rewards` makes each payoff it needs from X, and
+    the payoff gap that the regret accounting reads is made after the
+    engines, once the rewards are released (`payoff_gap`).
     """
 
     X: np.ndarray           # covariates, (T, d)
-    gap: np.ndarray         # F[:, 0] - F[:, 1], the payoffs at X, (T,)
     rewards: Rewards
 
 
@@ -110,83 +113,108 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int,
                  rep: int = 0) -> Streams:
     """Streams of replication (seed, rep).
 
-    Every policy run on that replication reads these same arrays and
-    rewards.  The payoffs are evaluated rng.BLOCK points at a time, for
-    the gap and, under Bernoulli noise, to check that they lie in [0, 1].
+    Every policy run on that replication reads these same covariates and
+    rewards.  Under Gaussian noise no payoff is evaluated; under Bernoulli
+    noise the payoffs are evaluated rng.BLOCK points at a time, to check
+    that they lie in [0, 1], and none is kept.
     """
-    bernoulli = check_noise(instance.noise)[0] == "bernoulli"
     X = rng.covariate_block(seed, rep, T, instance.d)
-    gap = np.empty(T)
-    for start in range(0, T, rng.BLOCK):
-        F = instance.payoffs(X[start:start + rng.BLOCK])
-        if bernoulli:
+    if check_noise(instance.noise)[0] == "bernoulli":
+        for start in range(0, T, rng.BLOCK):
+            F = instance.payoffs(X[start:start + rng.BLOCK])
             lo, hi = float(np.min(F)), float(np.max(F))
             if lo < -1e-12 or hi > 1.0 + 1e-12:
                 raise ValueError(
                     f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
-        np.subtract(F[:, 0], F[:, 1], out=gap[start:start + len(F)])
     u = np.empty((2, T))
     for arm in (1, 2):
         rng.noise_uniform_block(seed, rep, T, arm, out=u[arm - 1])
-    return Streams(X, gap, Rewards(X, u, instance))
+    return Streams(X, Rewards(X, u, instance))
+
+
+def payoff_gap(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """The payoff gaps F0 - F1 at the covariates X, shape (T,)."""
+    gap = np.empty(len(X))
+    for start, block in fast.gap_blocks(instance, X):
+        gap[start:start + len(block)] = block
+    return gap
+
+
+def _play(instance: ProblemInstance, policies, T: int, seed: int,
+          rep: int) -> tuple[list, np.ndarray]:
+    """The actions of each policy on replication (seed, rep), then the gap.
+
+    Every engine runs before the gap is made: the abse policies together
+    (`fast.abse_group_actions`), from one sort of the covariates, then the
+    others through `fast.run_fast`.  The rewards are released when the
+    last engine returns, so the gap never sits next to them.
+    """
+    X, rewards = draw_streams(instance, T, seed, rep)
+    abse = [p.config for p in policies if isinstance(p, AbsePolicy)]
+    replayed = iter(fast.abse_group_actions(abse, X, rewards) if abse else [])
+    actions = [next(replayed) if isinstance(p, AbsePolicy)
+               else fast.run_fast(p, X, rewards) for p in policies]
+    del rewards
+    return actions, payoff_gap(instance, X)
 
 
 def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
                 seed: int, checkpoint_stride: int | None = None, rep: int = 0,
-                streams=None, actions=None) -> RegretTrace:
+                played=None) -> RegretTrace:
     """One seeded episode of policy_spec; returns the regret trace.
 
     The episode runs on the vectorized engine of the policy the spec
-    builds.  streams, if given, is draw_streams(instance, T, seed, rep),
-    drawn once and shared by the policies of a replication; the arrays are
-    only read, and the rewards only made; streams of another length are a
-    ValueError.  actions, if given, are the actions of an abse spec already
-    replayed on streams, with the other abse specs of its replication
-    (`fast.abse_group_actions`); the episode then only accounts for them.
+    builds, on the streams of replication (seed, rep), and then accounts
+    for its actions against the payoff gap.  played, if given, is
+    (policy, actions, gap): the policy the spec built, its actions already
+    replayed on those streams with the other policies of its replication,
+    and the replication's gap (`_play`); the episode then only accounts
+    for them.  A gap of another length is a ValueError.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     stride = checkpoint_stride or max(1, T // 100)
-    X, gap, rewards = streams or draw_streams(instance, T, seed, rep)
-    if len(gap) != T:
-        raise ValueError(f"streams hold {len(gap)} steps, but the horizon is {T}")
-    policy = None
-    if actions is None:
+    if played is None:
         policy = policy_spec.build(instance, T)
-        actions = fast.run_fast(policy, X, rewards, gap)
+        (actions,), gap = _play(instance, [policy], T, seed, rep)
+    else:
+        policy, actions, gap = played
+        if len(gap) != T:
+            raise ValueError(f"streams hold {len(gap)} steps, but the horizon is {T}")
 
     # A step is inferior iff the other arm pays strictly more.  Its regret,
     # best - chosen, is then |gap| = |F0 - F1| bit for bit, and +0.0
-    # otherwise.  The sums run over the inferior steps t alone: a skipped
+    # otherwise.  The sums run over the inferior steps alone: a skipped
     # +0.0 term leaves the non-negative running sum's bits unchanged
     # (x + 0.0 == x), and the inferior count at step m is the number of
-    # t <= m.  The steps and their gaps are found rng.BLOCK steps at a
-    # time; one cumsum over all the gaps then adds the same terms in the
-    # same order.
-    steps, gaps = [], []
+    # them up to m.  The steps are taken rng.BLOCK at a time, and the
+    # running sum is carried into each block's cumsum through its first
+    # term, so the terms are added in the order of one cumsum over the
+    # whole stream, with no temporary longer than a block.
+    marks = np.arange(stride - 1, T, stride)
+    if not len(marks) or marks[-1] != T - 1:
+        marks = np.append(marks, T - 1)
+    checkpoints = []
+    total, count = 0.0, 0
     for start in range(0, T, rng.BLOCK):
-        block = slice(start, start + rng.BLOCK)
-        diff = gap[block]
-        inferior = (diff < 0) == (actions[block] == 1)
+        diff = gap[start:start + rng.BLOCK]
+        inferior = (diff < 0) == (actions[start:start + rng.BLOCK] == 1)
         inferior &= diff != 0
         t = np.flatnonzero(inferior)
-        steps.append(t + start)
-        gaps.append(np.abs(diff[t]))
-    t = np.concatenate(steps)
-    cum_regret = np.zeros(len(t) + 1)       # cum_regret[k]: first k inferior steps
-    np.cumsum(np.concatenate(gaps), out=cum_regret[1:])
-
-    marks = list(range(stride - 1, T, stride))
-    if not marks or marks[-1] != T - 1:
-        marks.append(T - 1)
-    counts = np.searchsorted(t, marks, side="right")
-    checkpoints = tuple(
-        (m + 1, float(cum_regret[k]), int(k)) for m, k in zip(marks, counts)
-    )
+        cum = np.abs(diff[t])               # cum[k]: through inferior step t[k]
+        if len(cum):
+            cum[0] += total
+            np.cumsum(cum, out=cum)
+        at = marks[np.searchsorted(marks, start):np.searchsorted(marks, start + len(diff))]
+        for m, k in zip(at.tolist(), np.searchsorted(t, at - start, side="right").tolist()):
+            checkpoints.append((m + 1, float(cum[k - 1]) if k else total, count + k))
+        if len(cum):
+            total = float(cum[-1])
+        count += len(t)
     return RegretTrace(
-        checkpoints=checkpoints,
-        final_regret=float(cum_regret[-1]),
-        inferior_count=len(t),
+        checkpoints=tuple(checkpoints),
+        final_regret=total,
+        inferior_count=count,
         t_sacb=getattr(policy, "t_sacb", None),
         beta_hat=getattr(policy, "beta_hat", None),
         seed=seed,
@@ -218,20 +246,16 @@ def summarize(traces) -> ExperimentSummary:
 def _replication_cell(args):
     """A group of policies on one replication, sharing one draw of its streams.
 
-    Its abse policies are replayed together, from one sort of the
-    covariates; each holds its int8 actions until its episode accounts
-    for them.
+    Every engine runs first, then the gap is made, and each episode
+    accounts for its policy's int8 actions (`_play`).
     """
     instance_spec, T, policy_specs, rep, base_seed, stride = args
     instance = make_instance(instance_spec, T)
-    streams = draw_streams(instance, T, base_seed, rep)
-    abse = [ps.build(instance, T).config for ps in policy_specs if ps.kind == "abse"]
-    replayed = iter(fast.abse_group_actions(abse, streams.X, streams.rewards)
-                    if abse else [])
+    policies = [ps.build(instance, T) for ps in policy_specs]
+    actions, gap = _play(instance, policies, T, base_seed, rep)
     return [run_episode(instance, ps, T, base_seed, checkpoint_stride=stride,
-                        rep=rep, streams=streams,
-                        actions=next(replayed) if ps.kind == "abse" else None)
-            for ps in policy_specs]
+                        rep=rep, played=(policy, a, gap))
+            for ps, policy, a in zip(policy_specs, policies, actions)]
 
 
 def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,

@@ -260,9 +260,9 @@ def test_criterion_8_determinism(tmp_path):
     inst = make_instance(cfg["instance"], 30_000)
     spec = PolicySpec("sacb", {"gamma": 0.3, "q": 1.4, "upsilon": 1.5,
                                "beta_lo": 0.5, "beta_hi": 1.0})
-    X, gap, rewards = sim.draw_streams(inst, 30_000, 5, 0)
-    a1 = fast.run_fast(spec.build(inst, 30_000), X, rewards, gap)
-    a2 = fast.run_fast(spec.build(inst, 30_000), X, rewards, gap)
+    X, rewards = sim.draw_streams(inst, 30_000, 5, 0)
+    a1 = fast.run_fast(spec.build(inst, 30_000), X, rewards)
+    a2 = fast.run_fast(spec.build(inst, 30_000), X, rewards)
     report("8 (determinism)", [
         ("rerun of identical config produces byte-identical results.csv",
          first == second),

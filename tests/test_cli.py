@@ -351,7 +351,9 @@ class TestRun:
     # "gaussian" and a sigma of -0.1 or 0 failed mid-run (exit 3,
     # header-only results.csv); so did a setting's sigma override of 0.  A
     # beta that is not a number stays a config error, and so does an
-    # unknown sweep key.  An integer too large for a float (10**400) as an
+    # unknown sweep key; a string float() cannot read, as an instance or
+    # sweep beta or an abse c0, gave float()'s own message, naming no key.
+    # An integer too large for a float (10**400) as an
     # instance or sweep beta, a power delta, a setting override or an abse
     # number escaped as an OverflowError traceback (exit 1); as a sacb
     # gamma or a Gaussian sigma it passed parsing, then the run died (exit
@@ -411,9 +413,11 @@ class TestRun:
                        "overrides": {"M": 8.0, "sigma": 0}}},
          r"instance: unknown noise model \('gaussian', 0\)"),
         ({"sweep": {"beta": ["a"]}},
-         "instance: could not convert string to float: 'a'"),
+         r"^instance: beta must be a finite number, got 'a'$"),
         ({"instance": {"kind": "setting1", "beta": "a"}},
-         "instance: could not convert string to float: 'a'"),
+         r"^instance: beta must be a finite number, got 'a'$"),
+        ({"policies": [{"kind": "abse", "beta": 0.9, "c0": "a"}]},
+         r"^policies\[0\]: c0 must be a finite number, got 'a'$"),
         ({"sweep": {"n": [1]}}, "sweep key 'n' not supported"),
         ({"instance": {"kind": "setting1", "beta": HUGE}},
          r"^instance\.beta is an integer too large for a float$"),
@@ -511,7 +515,8 @@ class TestRun:
             "output-dir-number", "tilde-beta-string", "tilde-beta-bool",
             "noise-no-sigma", "noise-cauchy", "noise-string",
             "noise-negative-sigma", "noise-zero-sigma", "setting-zero-sigma",
-            "sweep-beta-string", "instance-beta-string", "sweep-key",
+            "sweep-beta-string", "instance-beta-string", "string-abse-c0",
+            "sweep-key",
             "huge-instance-beta", "huge-sweep-beta", "huge-power-delta",
             "huge-override", "huge-abse-c0", "huge-sacb-gamma",
             "huge-noise-sigma", "huge-lower-bound-gamma", "huge-lower-bound-d",

@@ -44,8 +44,8 @@ def engine_then_reference(instance, policy, T, seed):
     Y comes from a second draw read in one pass, and every entry the engine
     made must equal it.
     """
-    X, gap, rewards = sim.draw_streams(instance, T, seed)
-    actions = fast.run_fast(policy, X, rewards, gap)
+    X, rewards = sim.draw_streams(instance, T, seed)
+    actions = fast.run_fast(policy, X, rewards)
     Y = dense_rewards(sim.draw_streams(instance, T, seed).rewards, T)
     assert np.array_equal(dense_rewards(rewards, T), Y)
     return X, Y, actions
@@ -186,21 +186,24 @@ def test_abse_leaf_keys_in_blocks(d, k0, n, dtype, monkeypatch):
      {"beta": 0.5, "c0": 4.0, "gamma_abse": 0.25}),
 ], ids=["d1", "d2"])
 def test_abse_roots_that_start_late(inst_spec, params, monkeypatch):
-    """A replay whose roots start at step s plays 0 before s and, from s
-    on, what AbsePolicy plays on X[s:] with the same rewards; its index
-    keys the steps from s on, and only those.  s is 0, a step inside the
-    second rng.BLOCK, n - 1 and n."""
+    """A replay whose roots start at step s plays, from s on, what
+    AbsePolicy plays on X[s:] with the same rewards: abse_actions returns
+    those n - s actions, and the group engine the same after 0 before s.
+    Its index keys the steps from s on, and only those.  s is 0, a step
+    inside the second rng.BLOCK, n - 1 and n."""
     monkeypatch.setattr(rng, "BLOCK", 2_048)
     n = 6_000
     instance = make_instance(inst_spec, n)
     cfg = PolicySpec("abse", params).build(instance, n).config
     for s in (0, rng.BLOCK + 300, n - 1, n):
-        X, _, rewards = sim.draw_streams(instance, n, 41)
+        X, rewards = sim.draw_streams(instance, n, 41)
         actions = fast.abse_actions(cfg, X, rewards, start=s)
         Y = dense_rewards(rewards, n)
-        assert not actions[:s].any()
-        assert np.array_equal(actions[s:],
+        assert len(actions) == n - s
+        assert np.array_equal(actions,
                               sequential_actions(AbsePolicy(cfg), X[s:], Y[s:]))
+        group, = fast.abse_group_actions([cfg], X, rewards, start=s)
+        assert not group[:s].any() and np.array_equal(group[s:], actions)
         keys, bits = fast._leaf_keys(X, max_depth(cfg), s)
         assert len(keys) == n - s
         assert np.array_equal(np.sort(keys & ((1 << bits) - 1)), np.arange(s, n))
@@ -451,7 +454,7 @@ def test_run_episode_paths_agree():
                               "overrides": {"M": 8.0}}, T)
     pspec = PolicySpec("abse", {"beta": 0.8, "gamma_abse": 2.0})
     trace = sim.run_episode(instance, pspec, T, seed)
-    X, _, rewards = sim.draw_streams(instance, T, seed)
+    X, rewards = sim.draw_streams(instance, T, seed)
     actions = sequential_actions(pspec.build(instance, T), X, dense_rewards(rewards, T))
     F = instance.payoffs(X)
     chosen = F[np.arange(T), actions - 1]
@@ -469,7 +472,7 @@ TABLE3_BETAS = [0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95
 def group_then_reference(instance, policies, n, seed):
     """The group engine's actions of policies on a fresh n-step stream, then
     the dense Y, as engine_then_reference does for one policy."""
-    X, _, rewards = sim.draw_streams(instance, n, seed)
+    X, rewards = sim.draw_streams(instance, n, seed)
     group = fast.abse_group_actions([p.config for p in policies], X, rewards)
     Y = dense_rewards(sim.draw_streams(instance, n, seed).rewards, n)
     assert np.array_equal(dense_rewards(rewards, n), Y)

@@ -1,21 +1,55 @@
 import concurrent.futures
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from banditlab import fast, rng
+from banditlab import fast, rng, sim
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
-from banditlab.policies import PolicySpec
-from banditlab.sim import (RegretTrace, Rewards, draw_streams, run_episode,
-                           run_experiment, summarize)
+from banditlab.policies import OraclePolicy, PolicySpec
+from banditlab.sim import (RegretTrace, Rewards, draw_streams, payoff_gap,
+                           run_episode, run_experiment, summarize)
 
 
 def flat_instance():
     f = lambda x: np.full_like(np.asarray(x, float), 0.5)
     return ProblemInstance("flat", 1, f, f, ("gaussian", 0.05))
+
+
+def tie_instance():
+    """Arms that tie on [0.3, 0.7]; arm 2 is better below, arm 1 above."""
+    return ProblemInstance(
+        "tie", 1,
+        f1=lambda x: np.asarray(x, float),
+        f2=lambda x: np.clip(np.asarray(x, float), 0.3, 0.7),
+        noise=("gaussian", 0.05))
+
+
+def naive_checkpoints(F, actions, stride):
+    """The checkpoints of actions on the payoff table F, from one cumsum of
+    best - chosen over the whole stream, and the inferior steps."""
+    T = len(F)
+    chosen = F[np.arange(T), actions - 1]
+    best = np.maximum(F[:, 0], F[:, 1])
+    inferior = chosen < best
+    marks = list(range(stride - 1, T, stride))
+    if marks[-1] != T - 1:
+        marks.append(T - 1)
+    want = tuple(zip([m + 1 for m in marks],
+                     np.cumsum(best - chosen)[marks].tolist(),
+                     np.cumsum(inferior)[marks].tolist()))
+    return want, np.flatnonzero(inferior)
+
+
+def assert_trace_is(tr, want):
+    """Every checkpoint, the final regret and the inferior count equal
+    want's to the bit (reprs tell -0.0 apart)."""
+    assert repr(tr.checkpoints) == repr(want)
+    assert repr(tr.final_regret) == repr(want[-1][1])
+    assert tr.inferior_count == want[-1][2]
 
 
 class TestEpisode:
@@ -31,13 +65,16 @@ class TestEpisode:
         assert tr.final_regret == 0.0
         assert tr.inferior_count == 0
 
-    def test_oracle_episode_evaluates_payoffs_once(self):
-        # The oracle takes its actions from the payoffs the episode drew.
+    def test_oracle_episode_evaluates_each_payoff_twice(self):
+        # The oracle's engine takes its actions from the payoffs, and the
+        # gap is made from them again once the engine has run: both arms,
+        # every step, once in each pass.  The draw evaluates none.
         inst = make_power_payoff(0.6, 1.0)
         with mock.patch.object(ProblemInstance, "payoffs", autospec=True,
                                side_effect=ProblemInstance.payoffs) as calls:
             tr = run_episode(inst, PolicySpec("oracle", {}), 1000, seed=2)
-        assert calls.call_count == 1
+        assert [(len(c.args[1]), c.args[2:]) for c in calls.call_args_list] == [
+            (1000, ()), (1000, ())]
         assert tr.final_regret == 0.0
 
     def test_fixed_arm_regret_closed_form(self):
@@ -63,14 +100,9 @@ class TestEpisode:
         # of best - chosen to the bit, +0.0 included (reprs tell -0.0 apart),
         # whether the accounting takes T in one block or 5 steps at a time,
         # so that inferior steps straddle block edges.
-        inst = ProblemInstance(
-            "tie", 1,
-            f1=lambda x: np.asarray(x, float),
-            f2=lambda x: np.clip(np.asarray(x, float), 0.3, 0.7),
-            noise=("gaussian", 0.05))
+        inst = tie_instance()
         T = 1_999
         F = inst.payoffs(rng.covariate_block(6, 0, T, 1))
-        best = np.maximum(F[:, 0], F[:, 1])
         assert (F[:, 0] == F[:, 1]).any()
         arbitrary = np.random.default_rng(6).integers(1, 3, T).astype(np.int8)
         better = np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)
@@ -86,27 +118,52 @@ class TestEpisode:
                   mock.patch.object(rng, "BLOCK", block)):
                 tr = run_episode(inst, PolicySpec("fixed", {"arm": 1}), T, seed=6,
                                  checkpoint_stride=stride)
-            chosen = F[np.arange(T), actions - 1]
-            inferior = chosen < best
-            assert shape(np.flatnonzero(inferior))
-            marks = list(range(stride - 1, T, stride))
-            if marks[-1] != T - 1:
-                marks.append(T - 1)
-            want = tuple(zip([m + 1 for m in marks],
-                             np.cumsum(best - chosen)[marks].tolist(),
-                             np.cumsum(inferior)[marks].tolist()))
-            assert repr(tr.checkpoints) == repr(want)
-            assert repr(tr.final_regret) == repr(want[-1][1])
-            assert tr.inferior_count == want[-1][2]
+            want, inferior = naive_checkpoints(F, actions, stride)
+            assert shape(inferior)
+            assert_trace_is(tr, want)
+
+    def test_shared_replication_accounts_bit_for_bit(self, monkeypatch):
+        # Three episodes share one replication of the tied arms: fixed arm
+        # 1, random arms ("arbitrary", played here by fixed arm 2's engine)
+        # and the oracle, which ties on [0.3, 0.7].  The gap is made once
+        # and each episode carries its running sum through 400 blocks of 5
+        # steps, across which inferior steps straddle block edges.  Every
+        # checkpoint, final regret and inferior count must equal the naive
+        # cumsum of best - chosen to the bit.
+        inst = tie_instance()
+        T = 1_999
+        F = inst.payoffs(rng.covariate_block(6, 0, T, 1))
+        assert (F[:, 0] == F[:, 1]).any()
+        arbitrary = np.random.default_rng(6).integers(1, 3, T).astype(np.int8)
+        _, inferior = naive_checkpoints(F, arbitrary, T)
+        assert np.isin(inferior[inferior % 5 == 4] + 1, inferior).any()
+        run_fast = fast.run_fast
+
+        def engine(policy, X, rewards):
+            return arbitrary if getattr(policy, "arm", 1) == 2 else run_fast(policy, X, rewards)
+
+        monkeypatch.setattr(fast, "run_fast", engine)
+        monkeypatch.setattr(sim, "make_instance", lambda spec, T: inst)
+        monkeypatch.setattr(rng, "BLOCK", 5)
+        specs = [PolicySpec("fixed", {"arm": 1}), PolicySpec("fixed", {"arm": 2}),
+                 PolicySpec("oracle", {})]
+        played = [np.ones(T, dtype=np.int8), arbitrary,
+                  np.where(F[:, 1] > F[:, 0], 2, 1).astype(np.int8)]
+        for stride in (1, 7, 300):
+            traces = sim._replication_cell(({}, T, specs, 0, 6, stride))
+            for tr, actions in zip(traces, played, strict=True):
+                assert_trace_is(tr, naive_checkpoints(F, actions, stride)[0])
+            assert traces[2].final_regret == 0.0
 
     @pytest.mark.parametrize("T", [1_000, 8_000])
     def test_rejects_streams_of_another_horizon(self, T):
         inst = make_power_payoff(0.6, 1.0)
-        streams = draw_streams(inst, 4_000, 7, 0)
+        policy = PolicySpec("abse", {"beta": 0.6}).build(inst, 4_000)
+        (actions,), gap = sim._play(inst, [policy], 4_000, 7, 0)
         with pytest.raises(ValueError, match=f"streams hold 4000 steps, but "
                                              f"the horizon is {T}"):
             run_episode(inst, PolicySpec("abse", {"beta": 0.6}), T, 7,
-                        streams=streams)
+                        played=(policy, actions, gap))
 
     def test_checkpoints_monotone(self):
         inst = make_power_payoff(0.6, 1.0)
@@ -195,26 +252,29 @@ class TestRewards:
             draw_streams(steep, 23, 12)
         draw_streams(steep, 20, 12)
 
-    def test_streams_hold_no_payoff_table(self):
+    def test_streams_hold_no_payoff_table(self, monkeypatch):
+        # Under Gaussian noise the draw evaluates no payoff.  The gap, made
+        # later in 1000-step blocks, has the bits of F0 - F1.
         inst = make_power_payoff(0.6, 1.0)
-        streams = draw_streams(inst, 5_000, 2, 1)
+        with mock.patch.object(ProblemInstance, "payoffs") as paid:
+            streams = draw_streams(inst, 5_000, 2, 1)
+        assert not paid.called
+        assert streams._fields == ("X", "rewards")
         F = inst.payoffs(streams.X)
-        assert streams._fields == ("X", "gap", "rewards")
-        assert streams.gap.tobytes() == (F[:, 0] - F[:, 1]).tobytes()
+        monkeypatch.setattr(rng, "BLOCK", 1_000)
+        assert payoff_gap(inst, streams.X).tobytes() == (F[:, 0] - F[:, 1]).tobytes()
 
-    def test_oracle_reads_the_gap(self):
-        # On tied steps gap == 0 and the oracle plays arm 1, as the test
-        # F1 > F0 on the payoff table does.
-        inst = ProblemInstance(
-            "tie", 1,
-            f1=lambda x: np.asarray(x, float)[:, 0],
-            f2=lambda x: np.clip(np.asarray(x, float)[:, 0], 0.3, 0.7),
-            noise=("gaussian", 0.05))
-        X, gap, rewards = draw_streams(inst, 3_000, 6)
+    def test_oracle_plays_arm_1_on_ties(self, monkeypatch):
+        # The oracle's engine tests F0 - F1 < 0 on its payoffs, 700 steps at
+        # a time: on tied steps it plays arm 1, as the test F1 > F0 on the
+        # payoff table does.
+        inst = tie_instance()
+        monkeypatch.setattr(rng, "BLOCK", 700)
+        X, rewards = draw_streams(inst, 3_000, 6)
         F = inst.payoffs(X)
-        assert (F[:, 0] == F[:, 1]).any() and (gap == 0).any()
+        assert (F[:, 0] == F[:, 1]).any()
         oracle = PolicySpec("oracle", {}).build(inst, 3_000)
-        assert np.array_equal(fast.run_fast(oracle, X, rewards, gap),
+        assert np.array_equal(fast.run_fast(oracle, X, rewards),
                               np.where(F[:, 1] > F[:, 0], 2, 1))
 
 
@@ -366,6 +426,78 @@ class TestExperiment:
         inst = make_instance(spec, T)
         for ps, s in zip(policies, res, strict=True):
             assert s.traces == tuple(run_episode(inst, ps, T, 12, rep=r) for r in range(2))
+
+    def test_replication_makes_its_gap_after_the_engines(self, monkeypatch):
+        # Two replications of a Setting I task of five policies, in this
+        # process.  Until the last engine of a replication returns, only
+        # reward reads evaluate payoffs, and the oracle's engine, which
+        # takes its actions from them.  Then its Rewards is unreachable, and
+        # the gap evaluates the payoffs of each step once, in order, though
+        # five episodes account for it.
+        spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
+        T = 20_000
+        monkeypatch.setattr(rng, "BLOCK", 4_096)
+        policies = [PolicySpec("abse", {"beta": 0.5}), PolicySpec("oracle", {}),
+                    PolicySpec("sacb", {"gamma": 0.3, "q": 1.4, "upsilon": 1.5,
+                                        "beta_lo": 0.5, "beta_hi": 1.0}),
+                    PolicySpec("abse", {"beta": 0.9}), PolicySpec("fixed", {"arm": 2})]
+        events, inside, drawn = [], [None], []
+
+        def within(where, fn):
+            def call(*args, **kwargs):
+                outer, inside[0] = inside[0], where(*args)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside[0] = outer
+            return call
+
+        def engine(fn):                     # SACB's handoff is inside its engine
+            def call(*args, **kwargs):
+                outer = inside[0]
+                out = within(lambda p, *rest: "oracle" if isinstance(p, OraclePolicy)
+                             else "engine", fn)(*args, **kwargs)
+                if outer is None:
+                    events.append(("engine done",))
+                return out
+            return call
+
+        def paying(instance, x, arm=None):
+            events.append(("payoffs", inside[0], arm, np.array(x), drawn[-1]() is None))
+            return payoffs(instance, x, arm)
+
+        def draw(*args):
+            streams = draw_streams(*args)
+            drawn.append(weakref.ref(streams.rewards))
+            events.append(("draw",))
+            return streams
+
+        def episode(*args, **kwargs):
+            events.append(("episode",))
+            return run_episode(*args, **kwargs)
+
+        payoffs = ProblemInstance.payoffs
+        monkeypatch.setattr(ProblemInstance, "payoffs", paying)
+        monkeypatch.setattr(Rewards, "read", within(lambda *a: "read", Rewards.read))
+        monkeypatch.setattr(fast, "abse_group_actions", engine(fast.abse_group_actions))
+        monkeypatch.setattr(fast, "run_fast", engine(fast.run_fast))
+        monkeypatch.setattr(sim, "draw_streams", draw)
+        monkeypatch.setattr(sim, "run_episode", episode)
+        run_experiment(spec, policies, T, reps=2, base_seed=12)
+
+        starts = [i for i, e in enumerate(events) if e[0] == "draw"] + [len(events)]
+        assert len(starts) == 3
+        for rep, (a, b) in enumerate(zip(starts, starts[1:])):
+            cell = events[a + 1:b]
+            kinds = [e[0] for e in cell]
+            engines = max(i for i, k in enumerate(kinds) if k == "engine done")
+            assert kinds.count("engine done") == 4
+            assert {e[1] for e in cell[:engines] if e[0] == "payoffs"} == {"read", "oracle"}
+            gap = [e for e in cell[engines:] if e[0] == "payoffs"]
+            assert all(e[1] is None and e[2] is None and e[4] for e in gap)
+            X = np.concatenate([e[3] for e in gap])
+            assert X.tobytes() == rng.covariate_block(12, rep, T, 1).tobytes()
+            assert kinds[engines + 1 + len(gap):] == ["episode"] * len(policies)
 
     def test_sacb_audit_fields_aggregated(self):
         res = run_experiment(
