@@ -48,10 +48,10 @@ later step is ABSE's: a replay whose root starts at t_sacb.
 
 The engines read rewards only through `sim.Rewards`, which makes each
 (t, arm) entry, and its payoff, on its first read; an episode pays for
-the rewards its tests use, not for the whole (T, 2) table.  No engine
-reads the replication's payoff gap F0 - F1: the oracle makes its own
-from the payoffs, block by block, and `sim` makes the replication's for
-its regret accounting once every engine has run.
+the rewards its tests use, not for the whole (T, 2) table.  Only the
+oracle reads the replication's payoff gap F0 - F1, which `sim` makes for
+its regret accounting once every other engine has run and the rewards
+are released; the oracle's engine runs last, on that gap.
 
 Memory.  While the engines run, a replication holds its streams: X, the
 (2, T) uniforms that become rewards and their done masks, 18 + 8 d bytes
@@ -61,9 +61,8 @@ lists (at most n keys; none at the deepest depth, which reads the keys)
 and one int8 array of actions per config it replays; SACB holds its int8
 actions and its binned prefix.  Every other stream-length pass (the draws
 in `rng`, the cell keys, the candidates, the test rows and the arms a
-terminal node plays here, the oracle's gaps, and the gap and regret
-accounting in `sim`) runs rng.BLOCK steps at a time, so its temporaries
-are that long.
+terminal node plays here, the gap and the regret accounting in `sim`)
+runs rng.BLOCK steps at a time, so its temporaries are that long.
 """
 
 from __future__ import annotations
@@ -386,28 +385,18 @@ def sacb_actions(policy: SacbPolicy, X: np.ndarray, rewards) -> np.ndarray:
     return actions
 
 
-def gap_blocks(instance, X: np.ndarray):
-    """The payoff gaps F0 - F1 at the covariates X, rng.BLOCK points at a
-    time: yields each block's first step and its (block,) gaps."""
-    for start in range(0, len(X), rng.BLOCK):
-        F = instance.payoffs(X[start:start + rng.BLOCK])
-        yield start, F[:, 0] - F[:, 1]
-
-
-def run_fast(policy, X: np.ndarray, rewards) -> np.ndarray:
+def run_fast(policy, X: np.ndarray, rewards, gap: np.ndarray | None = None) -> np.ndarray:
     """Actions of a policy built by PolicySpec.build, on its engine.
 
-    rewards is the `sim.Rewards` of the same n steps.  The oracle takes
-    its actions from its instance's payoffs, block by block: gap < 0 is its
-    test F1 > F0, for a - b < 0 exactly when a < b, and a tie plays arm 1.
+    rewards is the `sim.Rewards` of the same n steps.  gap holds the
+    payoff gaps F0 - F1 at X, shape (n,); only the oracle reads it, and
+    gap < 0 is its test F1 > F0, for a - b < 0 exactly when a < b: a tie
+    plays arm 1.
     """
     if isinstance(policy, FixedArmPolicy):
         return np.full(len(X), policy.arm, dtype=np.int8)
     if isinstance(policy, OraclePolicy):
-        actions = np.empty(len(X), dtype=np.int8)
-        for start, gap in gap_blocks(policy.instance, X):
-            actions[start:start + len(gap)] = np.where(gap < 0, 2, 1)
-        return actions
+        return np.where(gap < 0, np.int8(2), np.int8(1))
     if isinstance(policy, AbsePolicy):
         return abse_actions(policy.config, X, rewards)
     return sacb_actions(policy, X, rewards)

@@ -10,9 +10,9 @@ rewards (paired comparisons / common random numbers).  Every episode runs
 on the vectorized engine of its policy (`fast.run_fast`), and the abse
 policies of one task are replayed together (`fast.abse_group_actions`);
 the sequential policies are the reference those engines are tested
-against.  A replication runs all its engines first and releases its
-rewards; only then is the payoff gap F0 - F1 made, once, and each
-episode's regret accounting reads it.
+against.  A replication runs the engines that read rewards first and
+releases its rewards; only then is the payoff gap F0 - F1 made, once,
+which the oracle and each episode's regret accounting read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import rng
 from .abse import AbsePolicy
 from .instances import ProblemInstance, check_noise, make_instance
-from .policies import PolicySpec
+from .policies import OraclePolicy, PolicySpec
 from . import fast
 
 
@@ -133,29 +133,35 @@ def draw_streams(instance: ProblemInstance, T: int, seed: int,
 
 
 def payoff_gap(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """The payoff gaps F0 - F1 at the covariates X, shape (T,)."""
+    """The payoff gaps F0 - F1 at the covariates X, shape (T,), made
+    rng.BLOCK points at a time."""
     gap = np.empty(len(X))
-    for start, block in fast.gap_blocks(instance, X):
-        gap[start:start + len(block)] = block
+    for start in range(0, len(X), rng.BLOCK):
+        F = instance.payoffs(X[start:start + rng.BLOCK])
+        np.subtract(F[:, 0], F[:, 1], out=gap[start:start + len(F)])
     return gap
 
 
 def _play(instance: ProblemInstance, policies, T: int, seed: int,
           rep: int) -> tuple[list, np.ndarray]:
-    """The actions of each policy on replication (seed, rep), then the gap.
+    """The actions of each policy on replication (seed, rep), and the gap.
 
-    Every engine runs before the gap is made: the abse policies together
-    (`fast.abse_group_actions`), from one sort of the covariates, then the
-    others through `fast.run_fast`.  The rewards are released when the
-    last engine returns, so the gap never sits next to them.
+    The engines that read rewards run first: the abse policies together
+    (`fast.abse_group_actions`), from one sort of the covariates, then
+    SACB and fixed arms through `fast.run_fast`.  The rewards are then
+    released, the gap is made, so it never sits next to them, and the
+    oracle takes its actions from the gap.
     """
     X, rewards = draw_streams(instance, T, seed, rep)
     abse = [p.config for p in policies if isinstance(p, AbsePolicy)]
     replayed = iter(fast.abse_group_actions(abse, X, rewards) if abse else [])
     actions = [next(replayed) if isinstance(p, AbsePolicy)
+               else None if isinstance(p, OraclePolicy)
                else fast.run_fast(p, X, rewards) for p in policies]
     del rewards
-    return actions, payoff_gap(instance, X)
+    gap = payoff_gap(instance, X)
+    return [fast.run_fast(p, X, None, gap) if a is None else a
+            for p, a in zip(policies, actions)], gap
 
 
 def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,

@@ -45,7 +45,7 @@ def engine_then_reference(instance, policy, T, seed):
     made must equal it.
     """
     X, rewards = sim.draw_streams(instance, T, seed)
-    actions = fast.run_fast(policy, X, rewards)
+    actions = fast.run_fast(policy, X, rewards, sim.payoff_gap(instance, X))
     Y = dense_rewards(sim.draw_streams(instance, T, seed).rewards, T)
     assert np.array_equal(dense_rewards(rewards, T), Y)
     return X, Y, actions

@@ -9,7 +9,7 @@ from scipy.special import ndtri
 
 from banditlab import fast, rng, sim
 from banditlab.instances import ProblemInstance, make_instance, make_power_payoff
-from banditlab.policies import OraclePolicy, PolicySpec
+from banditlab.policies import PolicySpec
 from banditlab.sim import (RegretTrace, Rewards, draw_streams, payoff_gap,
                            run_episode, run_experiment, summarize)
 
@@ -65,16 +65,16 @@ class TestEpisode:
         assert tr.final_regret == 0.0
         assert tr.inferior_count == 0
 
-    def test_oracle_episode_evaluates_each_payoff_twice(self):
-        # The oracle's engine takes its actions from the payoffs, and the
-        # gap is made from them again once the engine has run: both arms,
-        # every step, once in each pass.  The draw evaluates none.
+    def test_oracle_episode_evaluates_payoffs_once(self):
+        # The oracle takes its actions from the gap that the episode makes
+        # for its accounting: both arms, every step, in one pass.  The draw
+        # evaluates none.
         inst = make_power_payoff(0.6, 1.0)
         with mock.patch.object(ProblemInstance, "payoffs", autospec=True,
                                side_effect=ProblemInstance.payoffs) as calls:
             tr = run_episode(inst, PolicySpec("oracle", {}), 1000, seed=2)
         assert [(len(c.args[1]), c.args[2:]) for c in calls.call_args_list] == [
-            (1000, ()), (1000, ())]
+            (1000, ())]
         assert tr.final_regret == 0.0
 
     def test_fixed_arm_regret_closed_form(self):
@@ -139,8 +139,9 @@ class TestEpisode:
         assert np.isin(inferior[inferior % 5 == 4] + 1, inferior).any()
         run_fast = fast.run_fast
 
-        def engine(policy, X, rewards):
-            return arbitrary if getattr(policy, "arm", 1) == 2 else run_fast(policy, X, rewards)
+        def engine(policy, X, rewards, gap=None):
+            return (arbitrary if getattr(policy, "arm", 1) == 2
+                    else run_fast(policy, X, rewards, gap))
 
         monkeypatch.setattr(fast, "run_fast", engine)
         monkeypatch.setattr(sim, "make_instance", lambda spec, T: inst)
@@ -264,18 +265,18 @@ class TestRewards:
         monkeypatch.setattr(rng, "BLOCK", 1_000)
         assert payoff_gap(inst, streams.X).tobytes() == (F[:, 0] - F[:, 1]).tobytes()
 
-    def test_oracle_plays_arm_1_on_ties(self, monkeypatch):
-        # The oracle's engine tests F0 - F1 < 0 on its payoffs, 700 steps at
-        # a time: on tied steps it plays arm 1, as the test F1 > F0 on the
-        # payoff table does.
+    def test_oracle_reads_the_gap(self):
+        # On tied steps gap == 0 and the oracle plays arm 1, as the test
+        # F1 > F0 on the payoff table does; its actions are int8.
         inst = tie_instance()
-        monkeypatch.setattr(rng, "BLOCK", 700)
         X, rewards = draw_streams(inst, 3_000, 6)
+        gap = payoff_gap(inst, X)
         F = inst.payoffs(X)
-        assert (F[:, 0] == F[:, 1]).any()
+        assert (F[:, 0] == F[:, 1]).any() and (gap == 0).any()
         oracle = PolicySpec("oracle", {}).build(inst, 3_000)
-        assert np.array_equal(fast.run_fast(oracle, X, rewards),
-                              np.where(F[:, 1] > F[:, 0], 2, 1))
+        actions = fast.run_fast(oracle, X, rewards, gap)
+        assert actions.dtype == np.int8
+        assert np.array_equal(actions, np.where(F[:, 1] > F[:, 0], 2, 1))
 
 
 @pytest.mark.parametrize("call,match", [
@@ -429,11 +430,10 @@ class TestExperiment:
 
     def test_replication_makes_its_gap_after_the_engines(self, monkeypatch):
         # Two replications of a Setting I task of five policies, in this
-        # process.  Until the last engine of a replication returns, only
-        # reward reads evaluate payoffs, and the oracle's engine, which
-        # takes its actions from them.  Then its Rewards is unreachable, and
-        # the gap evaluates the payoffs of each step once, in order, though
-        # five episodes account for it.
+        # process.  Until the last engine that reads rewards returns, only
+        # reward reads evaluate payoffs.  Then its Rewards is unreachable,
+        # and the gap evaluates the payoffs of each step once, in order,
+        # though the oracle's engine and five episodes read it.
         spec = {"kind": "setting1", "beta": 0.9, "overrides": {"M": 8.0}}
         T = 20_000
         monkeypatch.setattr(rng, "BLOCK", 4_096)
@@ -455,8 +455,7 @@ class TestExperiment:
         def engine(fn):                     # SACB's handoff is inside its engine
             def call(*args, **kwargs):
                 outer = inside[0]
-                out = within(lambda p, *rest: "oracle" if isinstance(p, OraclePolicy)
-                             else "engine", fn)(*args, **kwargs)
+                out = within(lambda *a: "engine", fn)(*args, **kwargs)
                 if outer is None:
                     events.append(("engine done",))
                 return out
@@ -490,14 +489,15 @@ class TestExperiment:
         for rep, (a, b) in enumerate(zip(starts, starts[1:])):
             cell = events[a + 1:b]
             kinds = [e[0] for e in cell]
-            engines = max(i for i, k in enumerate(kinds) if k == "engine done")
             assert kinds.count("engine done") == 4
-            assert {e[1] for e in cell[:engines] if e[0] == "payoffs"} == {"read", "oracle"}
+            engines = [i for i, k in enumerate(kinds) if k == "engine done"][2]
+            assert {e[1] for e in cell[:engines] if e[0] == "payoffs"} == {"read"}
             gap = [e for e in cell[engines:] if e[0] == "payoffs"]
             assert all(e[1] is None and e[2] is None and e[4] for e in gap)
             X = np.concatenate([e[3] for e in gap])
             assert X.tobytes() == rng.covariate_block(12, rep, T, 1).tobytes()
-            assert kinds[engines + 1 + len(gap):] == ["episode"] * len(policies)
+            assert kinds[engines + 1 + len(gap):] == (["engine done"]
+                                                      + ["episode"] * len(policies))
 
     def test_sacb_audit_fields_aggregated(self):
         res = run_experiment(
