@@ -106,12 +106,16 @@ def fmt(x) -> str:
 
 
 def load_config(path) -> dict:
-    """The JSON object of a config file, not yet checked."""
+    """The JSON object of a config file, not yet checked; a file that
+    cannot be read as UTF-8 JSON is a config error that names it."""
     p = Path(path)
     try:
-        raw = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {p}")
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as e:                    # missing, a directory, unreadable
+        raise ValidationError(f"cannot read config file {p}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ValidationError(
+            f"config file {p} is not UTF-8: {e.reason} at byte {e.start}")
     except json.JSONDecodeError as e:
         raise ValidationError(f"config parse error at line {e.lineno}: {e.msg}")
     if not isinstance(raw, dict):

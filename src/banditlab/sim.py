@@ -12,7 +12,8 @@ policies of one task are replayed together (`fast.abse_group_actions`);
 the sequential policies are the reference those engines are tested
 against.  A replication runs the engines that read rewards first and
 releases its rewards; only then is the payoff gap F0 - F1 made, once,
-which the oracle and each episode's regret accounting read.
+which the oracle and each episode's regret accounting read.  The draw
+evaluates no payoff, and the gap's pass checks Bernoulli means.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
 from .abse import AbsePolicy
-from .instances import ProblemInstance, check_noise, make_instance
+from .instances import ProblemInstance, check_integer, check_noise, make_instance
 from .policies import OraclePolicy, PolicySpec
 from . import fast
 
@@ -69,9 +69,9 @@ class Rewards:
     each point alone, so a payoff made on read has the bits of one made
     over the whole stream.  A reward thus depends only on its uniform and
     payoff, never on which policy read it first, and entries nobody reads
-    are never made, nor are their payoffs.  `draw_streams` checks that
-    Bernoulli payoffs lie in [0, 1].  Rows are the replication's steps for
-    every reader, SACB's handoff to ABSE from t_sacb on included.
+    are never made, nor are their payoffs.  No read checks that Bernoulli
+    payoffs lie in [0, 1]; `payoff_gap` does.  Rows are the replication's
+    steps for every reader, SACB's handoff to ABSE from t_sacb on included.
     """
 
     def __init__(self, X: np.ndarray, u: np.ndarray, instance: ProblemInstance):
@@ -97,47 +97,36 @@ class Rewards:
         return u.take(rows)
 
 
-class Streams(NamedTuple):
-    """One replication's draws, shared by every policy run on it.
-
-    No payoff is kept: `Rewards` makes each payoff it needs from X, and
-    the payoff gap that the regret accounting reads is made after the
-    engines, once the rewards are released (`payoff_gap`).
-    """
-
-    X: np.ndarray           # covariates, (T, d)
-    rewards: Rewards
-
-
 def draw_streams(instance: ProblemInstance, T: int, seed: int,
-                 rep: int = 0) -> Streams:
-    """Streams of replication (seed, rep).
+                 rep: int = 0) -> tuple[np.ndarray, Rewards]:
+    """Covariates X, shape (T, d), and rewards of replication (seed, rep).
 
     Every policy run on that replication reads these same covariates and
-    rewards.  Under Gaussian noise no payoff is evaluated; under Bernoulli
-    noise the payoffs are evaluated rng.BLOCK points at a time, to check
-    that they lie in [0, 1], and none is kept.
+    rewards.  No payoff is evaluated here, under either noise model:
+    `Rewards` makes each payoff a read needs, and the payoff gap that the
+    regret accounting reads is made after the engines (`payoff_gap`).
     """
     X = rng.covariate_block(seed, rep, T, instance.d)
-    if check_noise(instance.noise)[0] == "bernoulli":
-        for start in range(0, T, rng.BLOCK):
-            F = instance.payoffs(X[start:start + rng.BLOCK])
-            lo, hi = float(np.min(F)), float(np.max(F))
-            if lo < -1e-12 or hi > 1.0 + 1e-12:
-                raise ValueError(
-                    f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
     u = np.empty((2, T))
     for arm in (1, 2):
         rng.noise_uniform_block(seed, rep, T, arm, out=u[arm - 1])
-    return Streams(X, Rewards(X, u, instance))
+    return X, Rewards(X, u, instance)
 
 
 def payoff_gap(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """The payoff gaps F0 - F1 at the covariates X, shape (T,), made
-    rng.BLOCK points at a time."""
+    rng.BLOCK points at a time.  The one pass that evaluates every step's
+    payoffs, it checks under Bernoulli noise that each block's means lie
+    in [0, 1]: a mean outside, or NaN, is a ValueError."""
+    bernoulli = check_noise(instance.noise)[0] == "bernoulli"
     gap = np.empty(len(X))
     for start in range(0, len(X), rng.BLOCK):
         F = instance.payoffs(X[start:start + rng.BLOCK])
+        if bernoulli:
+            lo, hi = float(np.min(F)), float(np.max(F))
+            if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+                raise ValueError(
+                    f"Bernoulli payoff means must lie in [0,1], saw [{lo}, {hi}]")
         np.subtract(F[:, 0], F[:, 1], out=gap[start:start + len(F)])
     return gap
 
@@ -175,11 +164,13 @@ def run_episode(instance: ProblemInstance, policy_spec: PolicySpec, T: int,
     (policy, actions, gap): the policy the spec built, its actions already
     replayed on those streams with the other policies of its replication,
     and the replication's gap (`_play`); the episode then only accounts
-    for them.  A gap of another length is a ValueError.
+    for them.  A gap of another length, or a checkpoint_stride (None:
+    max(1, T // 100)) that is not an integer >= 1, is a ValueError.
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
-    stride = checkpoint_stride or max(1, T // 100)
+    stride = (max(1, T // 100) if checkpoint_stride is None
+              else check_integer(checkpoint_stride, "checkpoint_stride", low=1))
     if played is None:
         policy = policy_spec.build(instance, T)
         (actions,), gap = _play(instance, [policy], T, seed, rep)
@@ -279,6 +270,7 @@ def run_experiment(instance_spec: dict, policy_specs, T: int, reps: int,
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    parallelism = check_integer(parallelism, "parallelism", low=1)
     specs = list(policy_specs)
     if not specs:
         raise ValueError("run_experiment needs at least one policy spec")

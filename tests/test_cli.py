@@ -264,8 +264,33 @@ class TestRun:
         assert main(["run", "--config", str(p)]) == 2
         assert "config parse error at line 1" in capsys.readouterr().err
 
-    def test_missing_config_exit_code(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+    def test_missing_config_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "absent.json"
+        assert main(["run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {p}: No such file or directory\n")
+
+    # A directory or a non-UTF-8 file used to fail as a runtime error (exit 3).
+    @pytest.mark.parametrize("case,message", [
+        ("directory", "cannot read config file {}: Is a directory"),
+        ("unreadable", "cannot read config file {}: Permission denied"),
+        ("latin-1", "config file {} is not UTF-8: invalid continuation byte at byte 15"),
+    ], ids=["directory", "unreadable", "latin-1"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         case, message):
+        p = tmp_path / "config"
+        if case == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes('{"T": 1, "x": "\u00e9"}'.encode("latin-1"))
+        if case == "unreadable":            # root could read a mode-000 file
+            def denied(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(Path, "read_text", denied)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(p)}\n"
+        assert not out.exists()
 
     # --reps 0 used to bypass the config checks: the run failed (exit 3) and
     # left a header-only results.csv and a manifest.json behind.

@@ -46,7 +46,8 @@ def engine_then_reference(instance, policy, T, seed):
     """
     X, rewards = sim.draw_streams(instance, T, seed)
     actions = fast.run_fast(policy, X, rewards, sim.payoff_gap(instance, X))
-    Y = dense_rewards(sim.draw_streams(instance, T, seed).rewards, T)
+    _, fresh = sim.draw_streams(instance, T, seed)
+    Y = dense_rewards(fresh, T)
     assert np.array_equal(dense_rewards(rewards, T), Y)
     return X, Y, actions
 
@@ -474,7 +475,8 @@ def group_then_reference(instance, policies, n, seed):
     the dense Y, as engine_then_reference does for one policy."""
     X, rewards = sim.draw_streams(instance, n, seed)
     group = fast.abse_group_actions([p.config for p in policies], X, rewards)
-    Y = dense_rewards(sim.draw_streams(instance, n, seed).rewards, n)
+    _, fresh = sim.draw_streams(instance, n, seed)
+    Y = dense_rewards(fresh, n)
     assert np.array_equal(dense_rewards(rewards, n), Y)
     return X, Y, group
 

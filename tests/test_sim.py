@@ -242,28 +242,75 @@ class TestRewards:
         X, u = np.full((10, 1), 0.5), np.full((2, 10), 0.5)
         with pytest.raises(ValueError, match="unknown noise"):
             Rewards(X, u, crossing_instance(("cauchy", 1.0)))
-        # The draw checks Bernoulli payoffs block by block; here only the
-        # last of 5-step blocks holds one above 1.
+        # The gap checks Bernoulli payoffs block by block, and the draw
+        # checks none; here only the last of 5-step blocks holds one above 1.
         steep = ProblemInstance("steep", 1, lambda pts: pts[:, 0] + 0.1,
                                 lambda pts: 0.5 + 0.0 * pts[:, 0], ("bernoulli",))
         X = rng.covariate_block(12, 0, 23, 1)
         assert (X[:20] < 0.9).all() and X.max() > 0.9
         monkeypatch.setattr(rng, "BLOCK", 5)
+        draw_streams(steep, 23, 12)
         with pytest.raises(ValueError, match="Bernoulli"):
-            draw_streams(steep, 23, 12)
-        draw_streams(steep, 20, 12)
+            payoff_gap(steep, X)
+        payoff_gap(steep, X[:20])
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5], ids=["nan", "above", "below"])
+    @pytest.mark.parametrize("entry", ["payoff_gap", "_play", "run_episode"])
+    def test_rejects_bernoulli_means_in_any_block(self, monkeypatch, bad, entry):
+        # f1 leaves [0, 1], or is NaN, only in the last of 5-step blocks.
+        # Each entry refuses it before it returns a gap, actions or a trace.
+        inst = ProblemInstance("bad", 1,
+                               lambda pts: np.where(pts[:, 0] > 0.9, bad, 0.5),
+                               lambda pts: 0.5 + 0.0 * pts[:, 0], ("bernoulli",))
+        X = rng.covariate_block(12, 0, 23, 1)
+        assert (X[:20] < 0.9).all() and X.max() > 0.9
+        monkeypatch.setattr(rng, "BLOCK", 5)
+        fixed = PolicySpec("fixed", {"arm": 1})
+        call = {"payoff_gap": lambda: payoff_gap(inst, X),
+                "_play": lambda: sim._play(inst, [fixed.build(inst, 23)], 23, 12, 0),
+                "run_episode": lambda: run_episode(inst, fixed, 23, seed=12)}[entry]
+        with pytest.raises(ValueError,
+                           match=r"Bernoulli payoff means must lie in \[0,1\]"):
+            call()
 
     def test_streams_hold_no_payoff_table(self, monkeypatch):
-        # Under Gaussian noise the draw evaluates no payoff.  The gap, made
-        # later in 1000-step blocks, has the bits of F0 - F1.
-        inst = make_power_payoff(0.6, 1.0)
-        with mock.patch.object(ProblemInstance, "payoffs") as paid:
-            streams = draw_streams(inst, 5_000, 2, 1)
-        assert not paid.called
-        assert streams._fields == ("X", "rewards")
-        F = inst.payoffs(streams.X)
+        # Under either noise model the draw evaluates no payoff.  The gap,
+        # made later in 1000-step blocks, has the bits of F0 - F1.
         monkeypatch.setattr(rng, "BLOCK", 1_000)
-        assert payoff_gap(inst, streams.X).tobytes() == (F[:, 0] - F[:, 1]).tobytes()
+        for noise in [("gaussian", 0.3), ("bernoulli",)]:
+            inst = crossing_instance(noise)
+            with mock.patch.object(ProblemInstance, "payoffs") as paid:
+                X, rewards = draw_streams(inst, 5_000, 2, 1)
+            assert paid.call_count == 0
+            assert X.shape == (5_000, 1) and isinstance(rewards, Rewards)
+            F = inst.payoffs(X)
+            assert payoff_gap(inst, X).tobytes() == (F[:, 0] - F[:, 1]).tobytes()
+
+    def test_bernoulli_replication_pays_reads_and_one_gap_pass(self):
+        # A Bernoulli replication evaluates the payoff of each (arm, step)
+        # that some engine reads, once, and then every step's payoffs in
+        # the one T-point pass of the gap, which checks them.  The draw
+        # adds no pass of its own.
+        T = 5_000
+        inst = make_instance({"kind": "power", "beta": 0.6, "delta": 1.0,
+                              "noise": ["bernoulli"]}, T)
+        policies = [PolicySpec(kind, params).build(inst, T) for kind, params in
+                    [("abse", {"beta": 0.6}), ("oracle", {}), ("fixed", {"arm": 2})]]
+        read, real_read = [set(), set()], Rewards.read
+
+        def reading(rewards, arm, rows):
+            read[arm].update(rows.tolist())
+            return real_read(rewards, arm, rows)
+
+        with (mock.patch.object(Rewards, "read", reading),
+              mock.patch.object(ProblemInstance, "payoffs", autospec=True,
+                                side_effect=ProblemInstance.payoffs) as paid):
+            sim._play(inst, policies, T, 3, 1)
+        n_paid = [sum(len(c.args[1]) for c in paid.call_args_list
+                      if c.args[2:] == (arm,)) for arm in (0, 1)]
+        assert n_paid == [len(rows) for rows in read] and min(n_paid) > 0
+        assert [len(c.args[1]) for c in paid.call_args_list
+                if len(c.args) == 2] == [T]
 
     def test_oracle_reads_the_gap(self):
         # On tied steps gap == 0 and the oracle plays arm 1, as the test
@@ -287,7 +334,19 @@ class TestRewards:
                             [PolicySpec("fixed", {"arm": 1})], 100, 0, 1),
      "reps must be >= 1, got 0"),
     (lambda: PolicySpec("greedy").build(None, 100), "unknown policy kind 'greedy'"),
-], ids=["episode-horizon", "summarize-empty", "experiment-reps", "spec-kind"])
+    *[(lambda stride=stride: run_episode(
+        flat_instance(), PolicySpec("fixed", {"arm": 1}), 100, seed=1,
+        checkpoint_stride=stride),
+       f"checkpoint_stride must be an integer >= 1, got {stride}")
+      for stride in (0, -5, 2.5)],
+    *[(lambda workers=workers: run_experiment(
+        {"kind": "power", "beta": 0.6}, [PolicySpec("fixed", {"arm": 1})], 100, 1, 1,
+        parallelism=workers),
+       f"parallelism must be an integer >= 1, got {workers}")
+      for workers in (0, -3)],
+], ids=["episode-horizon", "summarize-empty", "experiment-reps", "spec-kind",
+        "episode-stride-0", "episode-stride-negative", "episode-stride-fraction",
+        "experiment-parallelism-0", "experiment-parallelism-negative"])
 def test_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -466,10 +525,10 @@ class TestExperiment:
             return payoffs(instance, x, arm)
 
         def draw(*args):
-            streams = draw_streams(*args)
-            drawn.append(weakref.ref(streams.rewards))
+            X, rewards = draw_streams(*args)
+            drawn.append(weakref.ref(rewards))
             events.append(("draw",))
-            return streams
+            return X, rewards
 
         def episode(*args, **kwargs):
             events.append(("episode",))
